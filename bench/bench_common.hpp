@@ -7,15 +7,18 @@
 //   --full        shorthand for --scale 1.0
 //   --json <path> also write results as machine-readable JSON (the
 //                 BENCH_*.json perf-trajectory format; see JsonReport)
+//   --trace <path> write a Perfetto trace of one representative run
+// Any other flag, or a malformed value, exits 2 (parse_options).
 // Scaled runs also scale the KV pool by the same fraction so the
 // data-to-cache ratio (the regime that makes reordering matter) is
 // preserved; see ExecConfig::scale_kv_pool.
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -50,27 +53,59 @@ struct BenchOptions {
   }
 };
 
+/// Print `msg` and the usage line to stderr, then exit with code 2 (the
+/// conventional "bad command line" status).
+[[noreturn]] inline void usage_error(const char* prog, const std::string& msg) {
+  std::fprintf(stderr,
+               "%s: %s\nusage: %s [--scale f] [--seed s] [--full] "
+               "[--json path] [--trace path]\n",
+               prog, msg.c_str(), prog);
+  std::exit(2);
+}
+
+/// Strict flag parsing: an unknown flag, a flag missing its value, a
+/// number with trailing junk, and a non-positive or non-finite scale all
+/// exit 2 instead of silently running some other configuration.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opt;
+  const char* prog = argv[0];
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      opt.scale = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--full") == 0) {
+    const std::string flag = argv[i];
+    if (flag == "--full") {
       opt.scale = 1.0;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      opt.trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
+      continue;
+    }
+    if (flag == "--help") {
       std::printf(
           "usage: %s [--scale f] [--seed s] [--full] [--json path] "
           "[--trace path]\n"
           "  --trace writes a Perfetto trace of one representative run\n"
           "  (load it at ui.perfetto.dev; <path>.jsonl gets the raw events)\n",
-          argv[0]);
+          prog);
       std::exit(0);
+    }
+    if (flag != "--scale" && flag != "--seed" && flag != "--json" &&
+        flag != "--trace")
+      usage_error(prog, "unknown flag '" + flag + "'");
+    if (i + 1 >= argc) usage_error(prog, flag + " needs a value");
+    const char* value = argv[++i];
+    char* end = nullptr;
+    errno = 0;
+    if (flag == "--scale") {
+      opt.scale = std::strtod(value, &end);
+      if (end == value || *end != '\0' || errno != 0 ||
+          !std::isfinite(opt.scale) || opt.scale <= 0.0)
+        usage_error(prog, std::string("--scale must be a positive number, "
+                                      "got '") + value + "'");
+    } else if (flag == "--seed") {
+      opt.seed = std::strtoull(value, &end, 10);
+      if (end == value || *end != '\0' || errno != 0 || value[0] == '-')
+        usage_error(prog, std::string("--seed must be a non-negative "
+                                      "integer, got '") + value + "'");
+    } else if (flag == "--json") {
+      opt.json_path = value;
+    } else {
+      opt.trace_path = value;
     }
   }
   return opt;
@@ -138,9 +173,7 @@ class JsonReport {
 #else
     w.key("build_type").value("debug");
 #endif
-#if defined(LLMQ_TSAN_BUILD)
-    w.key("sanitizer").value("thread");
-#elif defined(LLMQ_SANITIZE_BUILD)
+#if defined(LLMQ_SANITIZE_BUILD)
     w.key("sanitizer").value("address,undefined");
 #else
     w.key("sanitizer").value("none");
@@ -204,7 +237,7 @@ class JsonReport {
 /// — not the mean — is the estimator: wall-clock noise on a shared box is
 /// strictly additive, so the fastest observation is the closest to the
 /// true cost. Every wall-clock number a bench reports (trace-overhead
-/// guard, threaded-fleet scaling) goes through this one helper so the
+/// guard, micro kernels) goes through this one helper so the
 /// methodology cannot drift between benches. Wall-clock keys are never
 /// golden-diffed — they measure the machine, not the simulator.
 class WallClockTimer {

@@ -7,27 +7,10 @@
 // prefix), admit() after prefill (inserting newly computed blocks), and
 // release() when the request completes.
 //
-// Threading. By default (lock_stripes == 0) the cache is single-threaded
-// and lock-free, exactly as the virtual-clock simulator uses it. With
-// lock_stripes = S > 0 the cache becomes thread-safe via lock striping:
-// prompts are sharded by a hash of their first (root) token block into S
-// independent radix trees, each behind its own mutex, with a separate
-// accounting mutex guarding the shared stats/clock/pool state. Two
-// prompts can only share tree structure below the root if they share
-// their entire first block, so same-stripe trees partition the node space
-// exactly like one tree whose root children were split by stripe — and
-// because every operation stamps a globally unique logical-clock value,
-// picking the globally oldest victim across stripes (RadixTree::lru_age)
-// reproduces the single-tree LRU eviction order exactly. The striped
-// cache is therefore behaviorally identical to the unstriped one under
-// any serialized operation sequence (pinned by tests/cache), which is
-// what lets the threaded fleet runtime stay bit-identical to the
-// virtual-clock oracle. Lock order: stripe mutexes in ascending index
-// first, then the accounting mutex; never the reverse.
+// Single-threaded and lock-free: one radix tree, driven by the virtual-
+// clock simulator.
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -41,9 +24,6 @@ struct CacheConfig {
   std::size_t block_size = 16;      // tokens per KV block (vLLM default)
   std::size_t capacity_blocks = 0;  // GPU-tier capacity; 0 = unlimited
   bool enabled = true;              // false = the paper's "No Cache" arm
-  /// 0 = single-threaded (no locks, one tree — the simulator default).
-  /// S > 0 = thread-safe with S lock stripes / per-stripe trees.
-  std::size_t lock_stripes = 0;
   /// Tier count: 1 = flat GPU-only pool (the pre-tier behavior, bit-
   /// exact), 2 = GPU + host DRAM, 3 = GPU + host + disk. With tiers > 1
   /// GPU pressure demotes cold blocks down instead of destroying them,
@@ -94,9 +74,6 @@ inline CacheStats operator-(CacheStats a, const CacheStats& b) {
 struct CacheLease {
   std::vector<NodeId> path;
   std::size_t cached_tokens = 0;
-  /// Stripe the path lives in (always 0 when unstriped). Recorded at
-  /// lookup so release/admit relock the right tree without rehashing.
-  std::uint32_t stripe = 0;
   /// Blocks this lookup promoted from the host / disk tier back to GPU
   /// (always 0 on a flat cache). The engine prices the transfer into
   /// TTFT before it reuses the prefix — a lower-tier hit is cheaper than
@@ -127,10 +104,7 @@ class PrefixCache {
   PrefixCache& operator=(const PrefixCache&) = delete;
 
   const CacheConfig& config() const { return config_; }
-  /// Snapshot of the hit/eviction counters. By value: with lock striping
-  /// the copy is taken under the accounting mutex so concurrent readers
-  /// never see a half-updated struct.
-  CacheStats stats() const;
+  CacheStats stats() const { return stats_; }
   /// Blocks resident across ALL tiers (== the tree's node count).
   std::size_t resident_blocks() const;
   /// Blocks resident in GPU memory only — what engine admission budgets
@@ -170,10 +144,6 @@ class PrefixCache {
   /// clock advance. This is the router's cache-affinity probe contract: a
   /// replica that merely loses a routing comparison must not have its
   /// recency order or hit accounting perturbed. Always 0 when disabled.
-  /// With lock striping the probe takes its stripe's mutex (tree walks
-  /// race with concurrent insert/evict otherwise) but still leaves every
-  /// counter and recency stamp untouched — transparency is pinned under
-  /// concurrent mutation by tests/cache/test_cache_concurrency.cpp.
   std::size_t peek(std::span<const TokenId> prompt) const;
 
   /// peek() with the matched tokens split by tier — the same no-side-
@@ -250,72 +220,47 @@ class PrefixCache {
  private:
   using EventKind = obs::EventKind;
 
-  /// Mutexes live behind a pointer so the cache stays movable (mutexes
-  /// are not); null when lock_stripes == 0, making every lock helper a
-  /// no-op on the single-threaded path.
-  struct LockState {
-    explicit LockState(std::size_t stripes) : stripe_mu(stripes) {}
-    std::vector<std::mutex> stripe_mu;
-    /// Guards stats_, clock_, pool_, outstanding_pins_. Acquired after
-    /// any stripe mutexes, never before.
-    std::mutex acct_mu;
-  };
-
-  std::uint32_t stripe_of(std::span<const TokenId> prompt) const;
-  std::unique_lock<std::mutex> lock_stripe(std::uint32_t s) const;
-  std::unique_lock<std::mutex> lock_acct() const;
-  std::vector<std::unique_lock<std::mutex>> lock_all_stripes() const;
-
-  /// Lease-path vector recycling (pre: acct mutex held, when striped).
-  /// Leases carry their path vectors out to callers and bring them back
-  /// on release; pooling the buffers makes the steady-state
-  /// lookup→admit→release cycle allocation-free once capacities warm up.
+  /// Lease-path vector recycling. Leases carry their path vectors out to
+  /// callers and bring them back on release; pooling the buffers makes
+  /// the steady-state lookup→admit→release cycle allocation-free once
+  /// capacities warm up.
   std::vector<NodeId> acquire_path();
   void recycle_path(std::vector<NodeId>&& path);
 
   bool tiered() const { return config_.tiers > 1; }
 
-  CacheLease pinning_match(RadixTree& tree, std::uint32_t stripe,
-                           std::span<const TokenId> prompt);
+  CacheLease pinning_match(std::span<const TokenId> prompt);
 
-  // ---- Tier helpers. Pre for all: every stripe mutex + acct held (all
-  // tiered mutations take the full lock set: demotion victims and
-  // cross-tier rebalancing can touch any stripe). ----
+  // ---- Tier helpers. ----
 
-  /// Demote up to `n` GPU-LRU blocks to host (globally oldest across
-  /// stripes), then rebalance host/disk to capacity. Returns GPU blocks
-  /// freed (fewer when everything left is pinned).
-  std::size_t demote_gpu_locked(std::size_t n);
+  /// Demote up to `n` GPU-LRU blocks to host, then rebalance host/disk to
+  /// capacity. Returns GPU blocks freed (fewer when everything left is
+  /// pinned).
+  std::size_t demote_gpu(std::size_t n);
   /// Demote until the GPU pool has `need` free blocks (best effort).
-  void make_gpu_room_locked(std::size_t need);
+  void make_gpu_room(std::size_t need);
   /// Push host overflow to disk (3-tier) or destroy bottom-tier LRU
   /// leaves so host/disk stay within their capacities.
-  void rebalance_lower_tiers_locked();
+  void rebalance_lower_tiers();
   /// Destroy up to `n` LRU unpinned leaves of the bottom tier `tier`.
-  std::size_t evict_bottom_locked(std::uint8_t tier, std::size_t n);
+  std::size_t evict_bottom(std::uint8_t tier, std::size_t n);
   /// Promote every lower-tier node of the pinned root-down `path` to
   /// GPU, demoting cold blocks for room. If the pool is pin-saturated,
   /// unpins and drops the non-fitting tail (returns true). `host`/`disk`
   /// receive the blocks promoted from each tier; `cls` tags the
   /// TierPromote event (0 = priced transfer, 1 = recompute refresh).
-  bool promote_pinned_path_locked(RadixTree& tree, std::vector<NodeId>& path,
-                                  std::size_t& host, std::size_t& disk,
-                                  std::uint8_t cls);
+  bool promote_pinned_path(std::vector<NodeId>& path, std::size_t& host,
+                           std::size_t& disk, std::uint8_t cls);
   /// Tiered admit(): refresh-promote the matched prefix, then insert the
   /// remaining new blocks GPU-resident.
-  std::size_t admit_tiered_locked(RadixTree& tree, std::uint32_t stripe,
-                                  std::span<const TokenId> prompt,
-                                  CacheLease& lease);
-  /// Pre: caller holds lease.stripe's mutex and acct (when striped).
-  void release_locked(CacheLease& lease);
-  /// Insert + repin half of admit(). Pre: stripe + acct held; `need` caps
-  /// new nodes. Returns blocks newly inserted.
-  std::size_t admit_insert(RadixTree& tree, std::uint32_t stripe,
-                           std::span<const TokenId> prompt, CacheLease& lease,
+  std::size_t admit_tiered(std::span<const TokenId> prompt, CacheLease& lease);
+  /// Flat cache: destroy up to `n` LRU unpinned leaves and return their
+  /// blocks to the GPU pool. Returns blocks evicted.
+  std::size_t evict_flat(std::size_t n);
+  /// Insert + repin half of admit(); `need` caps new nodes. Returns
+  /// blocks newly inserted.
+  std::size_t admit_insert(std::span<const TokenId> prompt, CacheLease& lease,
                            std::size_t need);
-  /// Evict up to n blocks picking the globally oldest victim across
-  /// stripes. Pre: all stripe mutexes + acct held (when striped).
-  std::size_t evict_blocks_locked(std::size_t n);
 
   /// Emission helper: one branch when tracing is off, no allocation.
   void trace(EventKind kind, std::uint64_t a, std::uint64_t b,
@@ -326,23 +271,19 @@ class PrefixCache {
   }
 
   CacheConfig config_;
-  /// One tree per stripe (exactly one when unstriped). Per-stripe trees —
-  /// rather than one tree with striped node locks — keep the hot node
-  /// vector free of cross-thread reallocation races by construction.
-  std::vector<RadixTree> trees_;
+  RadixTree tree_;
   BlockPool pool_;  // the GPU tier: pool_.used() == GPU-resident blocks
-  /// Blocks resident at the host / disk tiers (acct-guarded; both stay 0
-  /// on a flat cache).
+  /// Blocks resident at the host / disk tiers (both stay 0 on a flat
+  /// cache).
   std::size_t host_used_ = 0;
   std::size_t disk_used_ = 0;
   CacheStats stats_;
   std::uint64_t clock_ = 0;
   /// Outstanding (lease, node) pin edges — incremented when a lease pins
-  /// a path, decremented on release; mirrors the trees' total ref count.
+  /// a path, decremented on release; mirrors the tree's total ref count.
   std::uint64_t outstanding_pins_ = 0;
-  /// Retired lease-path buffers awaiting reuse (guarded by acct_mu).
+  /// Retired lease-path buffers awaiting reuse.
   std::vector<std::vector<NodeId>> path_pool_;
-  std::unique_ptr<LockState> locks_;
   obs::TraceSink* trace_ = nullptr;
   std::uint32_t trace_replica_ = 0;
   const double* trace_clock_ = nullptr;

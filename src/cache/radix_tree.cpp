@@ -343,15 +343,6 @@ std::size_t RadixTree::pinned_blocks() const {
   return n;
 }
 
-std::uint64_t RadixTree::lru_age() const {
-  std::uint64_t oldest = UINT64_MAX;
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (evictable(n)) oldest = std::min(oldest, n.last_access);
-  }
-  return oldest;
-}
-
 // ---- Tier operations. ----
 
 std::size_t RadixTree::tier_blocks(std::uint8_t tier) const {
@@ -359,16 +350,6 @@ std::size_t RadixTree::tier_blocks(std::uint8_t tier) const {
   for (NodeId id = 1; id < pool_.slots(); ++id)
     if (pool_[id].alive && pool_[id].tier == tier) ++n;
   return n;
-}
-
-std::uint64_t RadixTree::demote_age(std::uint8_t tier) const {
-  std::uint64_t oldest = UINT64_MAX;
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (n.alive && n.ref_count == 0 && n.tier == tier)
-      oldest = std::min(oldest, n.last_access);
-  }
-  return oldest;
 }
 
 std::size_t RadixTree::demote_lru(std::size_t want, std::uint8_t from_tier) {
@@ -403,15 +384,6 @@ std::size_t RadixTree::demote_lru(std::size_t want, std::uint8_t from_tier) {
     ++demoted;
   }
   return demoted;
-}
-
-std::uint64_t RadixTree::evict_age(std::uint8_t tier) const {
-  std::uint64_t oldest = UINT64_MAX;
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (evictable(n) && n.tier == tier) oldest = std::min(oldest, n.last_access);
-  }
-  return oldest;
 }
 
 std::size_t RadixTree::evict_lru_tier(std::size_t want, std::uint8_t tier) {

@@ -105,16 +105,6 @@ class RadixTree {
   /// Total pinned nodes (diagnostics / tests).
   std::size_t pinned_blocks() const;
 
-  /// last_access of the block evict_lru() would take next (the oldest
-  /// unpinned leaf), or UINT64_MAX when nothing is evictable. Lets a
-  /// sharded owner (PrefixCache with lock striping) pick the globally
-  /// oldest victim across per-stripe trees without merging them: every
-  /// access stamps a globally unique clock value, so comparing per-tree
-  /// ages reproduces exactly the eviction order a single tree would give.
-  /// Shares the evictable() predicate with evict_lru so the global-LRU
-  /// decision cannot drift from actual eviction order.
-  std::uint64_t lru_age() const;
-
   /// Sum of ref_count over all alive nodes — the number of (lease, node)
   /// pin edges outstanding. PrefixCache cross-checks this against its own
   /// lease accounting in check_invariants().
@@ -125,19 +115,8 @@ class RadixTree {
   /// Tier of one alive node (0 = GPU).
   std::uint8_t node_tier(NodeId id) const { return pool_[id].tier; }
 
-  /// Recency stamp of one alive node (for cross-stripe recency merges —
-  /// stamps are globally unique, so the merged order is total).
-  std::uint64_t node_last_access(NodeId id) const {
-    return pool_[id].last_access;
-  }
-
   /// Alive blocks currently at `tier` (ledger walk; O(slots)).
   std::size_t tier_blocks(std::uint8_t tier) const;
-
-  /// last_access of the oldest unpinned block at `tier` (the next
-  /// demotion victim), or UINT64_MAX when none. Mirrors lru_age() for the
-  /// sharded owner's cross-stripe global-LRU demotion decision.
-  std::uint64_t demote_age(std::uint8_t tier) const;
 
   /// Demote up to `want` oldest unpinned blocks from `from_tier` to
   /// `from_tier + 1`. No structural change; returns blocks demoted.
@@ -146,13 +125,11 @@ class RadixTree {
   /// since pins are monotone up paths), so they demote first.
   std::size_t demote_lru(std::size_t want, std::uint8_t from_tier);
 
-  /// last_access of the oldest evictable (unpinned leaf) block at `tier`,
-  /// or UINT64_MAX when none. Companion of evict_lru_tier.
-  std::uint64_t evict_age(std::uint8_t tier) const;
-
   /// Evict up to `want` LRU unpinned leaves restricted to `tier` (the
   /// bottom tier sheds blocks for real; upper tiers demote instead).
-  /// Parents exposed as leaves join the heap only if they sit at `tier`.
+  /// Parents exposed as leaves join the heap only if they sit at `tier`,
+  /// so one call with `want` = n takes the same victims, in the same
+  /// order, as n calls with `want` = 1.
   std::size_t evict_lru_tier(std::size_t want, std::uint8_t tier);
 
   /// Read-only walk of the longest cached prefix (exactly match_tokens'

@@ -171,12 +171,8 @@ class ServingEngine {
   BatchRunResult run(const std::vector<Request>& requests,
                      cache::PrefixCache& cache);
 
-  /// A cache suitable for session use with this engine. `lock_stripes`
-  /// follows CacheConfig: 0 (the default) builds the single-threaded,
-  /// lock-free cache; S > 0 builds a thread-safe striped cache for
-  /// runtimes whose worker threads share cache probes with a driver
-  /// (serve/threaded_fleet.hpp).
-  cache::PrefixCache make_session_cache(std::size_t lock_stripes = 0) const;
+  /// A cache suitable for session use with this engine.
+  cache::PrefixCache make_session_cache() const;
 
   const CostModel& cost_model() const { return cost_; }
   const EngineConfig& config() const { return config_; }

@@ -40,8 +40,7 @@
 //     replicas on the global track.
 //
 // The re-derived totals are exposed so tests can equate them with
-// EngineMetrics; a future threaded runtime is validated by running this
-// same auditor over its trace and diffing against the simulated oracle.
+// EngineMetrics.
 
 #include <array>
 #include <cstdint>

@@ -84,13 +84,6 @@ class SampleClock {
   }
   TimeSeries* series() const { return ts_; }
   bool sampling() const { return ts_ != nullptr && interval_ > 0.0; }
-  /// The next boundary at which due() will fire. The threaded runtime
-  /// cuts its epochs here so workers park exactly at the virtual times
-  /// the single-threaded driver would have sampled at — that, plus the
-  /// driver being the only thread that ever touches the TimeSeries (the
-  /// clock itself is driver-owned and never shared), is what keeps the
-  /// gauge columns bit-identical without making this class locked.
-  double next_boundary() const { return next_; }
 
  private:
   TimeSeries* ts_;

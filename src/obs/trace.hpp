@@ -7,9 +7,8 @@
 // decision, window plan — can be emitted as a fixed-size TraceEvent
 // stamped with the component's virtual clock. A trace is the causally
 // ordered record behind the end-of-run aggregates: it answers "why was
-// this tail request slow" (replay its span) and serves as the oracle a
-// future threaded runtime is diffed against trace-for-trace (ROADMAP
-// item 1).
+// this tail request slow" (replay its span) and is what obs::audit_trace
+// re-derives the run's ledgers from.
 //
 // Sink contract (near-zero cost when disabled): instrumented components
 // hold a raw `TraceSink*` that is nullptr by default. Every emission

@@ -50,9 +50,9 @@ namespace llmq::serve {
 ///     it; once idle it parks (leaves the active set, cache kept warm).
 ///
 /// All decisions happen at dispatch points as a pure function of fleet
-/// state and the merged clock, so the virtual-clock and threaded drivers
-/// scale bit-identically. Disabled (the default) leaves every code path
-/// byte-for-byte the fixed-size fleet.
+/// state and the merged clock, so a run scales the same way every time.
+/// Disabled (the default) leaves every code path byte-for-byte the
+/// fixed-size fleet.
 struct ElasticityConfig {
   bool enabled = false;
   /// Scale-down floor: never drain below this many serving replicas.

@@ -14,9 +14,9 @@
 // never depend on it).
 //
 // Determinism contract: observe() is called by the drivers in oracle
-// completion order (the bit-pinned merge order shared by the virtual
-// clock, replicated, and threaded runtimes), so predictor state — and
-// therefore every SPJF decision — is identical across all three.
+// completion order (the bit-pinned merge order shared by the single-
+// engine and replicated drivers), so predictor state — and therefore
+// every SPJF decision — is identical across both.
 
 #include <cstddef>
 #include <cstdint>

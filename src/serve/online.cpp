@@ -13,7 +13,7 @@
 namespace llmq::serve {
 
 // Arrival indexing, prompt encoding, request materialization, completion
-// stitching, and finalization are shared with the threaded driver — see
+// stitching, and finalization are shared with the replicated driver — see
 // serve/online_driver.hpp.
 using detail::ArrivalFeed;
 using detail::count_tenant;

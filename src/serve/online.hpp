@@ -82,8 +82,8 @@ struct OnlineConfig {
   /// materialize as feedback arrivals when their parent completes, with
   /// arrival time = parent finish + the planned gap, and ids allocated
   /// past the roots in completion order — a pure function of the run, so
-  /// every driver (virtual-clock, replicated, threaded) spawns the exact
-  /// same stream.
+  /// both drivers (single-engine and replicated) spawn the exact same
+  /// stream.
   const SessionWorkload* sessions = nullptr;
 
   /// Output-length predictor (serve/length_predictor.hpp). Each driver

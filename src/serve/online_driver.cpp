@@ -1,6 +1,7 @@
 #include "serve/online_driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -67,7 +68,6 @@ void SessionTracker::on_dispatch(const Arrival& a,
                                  const tokenizer::TokenSeq& prompt) {
   if (!will_spawn(a)) return;
   const FollowUpPlan& fo = sessions_->plans[a.session].follow_ups[a.turn];
-  gaps_.insert(fo.gap_seconds);
   ctx_.emplace(a.id, SpawnCtx{prompt, fo.gap_seconds});
 }
 
@@ -79,7 +79,6 @@ std::optional<Arrival> SessionTracker::on_complete(
     throw std::logic_error("SessionTracker: completion without dispatch");
   SpawnCtx ctx = std::move(it->second);
   ctx_.erase(it);
-  gaps_.erase(gaps_.find(ctx.gap));
 
   const FollowUpPlan& fo = sessions_->plans[a.session].follow_ups[a.turn];
   Arrival child;
@@ -116,16 +115,15 @@ tokenizer::TokenSeq SessionTracker::make_child_prompt(
   return prompt;
 }
 
-double SessionTracker::min_inflight_gap() const {
-  return gaps_.empty() ? std::numeric_limits<double>::infinity()
-                       : *gaps_.begin();
-}
-
 std::unordered_map<std::uint64_t, std::size_t> index_arrivals(
     const table::Table& t, const std::vector<Arrival>& arrivals) {
   std::unordered_map<std::uint64_t, std::size_t> index_of;
   index_of.reserve(arrivals.size());
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    // NaN compares false against everything, so it would slip past the
+    // ordering check and the event loop would never dispatch it.
+    if (!std::isfinite(arrivals[i].time))
+      throw std::invalid_argument("run_online: arrival times must be finite");
     if (i > 0 && arrivals[i].time < arrivals[i - 1].time)
       throw std::invalid_argument("run_online: arrivals must be time-sorted");
     if (arrivals[i].row >= t.num_rows())

@@ -1,17 +1,15 @@
 #pragma once
 // Shared internals of the online serving drivers.
 //
-// run_online (the single-threaded virtual-clock oracle, online.cpp) and
-// run_online_threaded (the real-threads runtime, threaded_fleet.cpp) are
-// two execution engines for the same serving semantics; everything that
+// run_online's single-engine loop and the replicated fleet driver
+// (online.cpp, fleet.cpp) serve the same semantics; everything that
 // defines those semantics outside the event loop — arrival validation,
 // per-tenant prompt encoding, request materialization, completion
-// stitching, and result finalization — lives here so the two drivers
-// cannot drift apart. Internal to src/serve; not part of the public API.
+// stitching, and result finalization — lives here so the drivers cannot
+// drift apart. Internal to src/serve; not part of the public API.
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -51,10 +49,6 @@ class ArrivalFeed {
 
   bool exhausted() const { return next_ >= statics_->size() && heap_.empty(); }
 
-  /// Index of the next unfed static arrival (== size when drained) — the
-  /// threaded runtime's static-stream lookaheads key off this.
-  std::size_t next_static() const { return next_; }
-
   /// Time of the next arrival from either source; +infinity when drained.
   double next_time() const;
 
@@ -72,7 +66,7 @@ class ArrivalFeed {
   std::vector<Arrival> heap_;  // min-heap on (time, id)
 };
 
-/// Session follow-up engine, shared verbatim by all three drivers so the
+/// Session follow-up engine, shared verbatim by every driver so the
 /// feedback stream they spawn is identical. Lifecycle per spawning
 /// arrival: on_dispatch (remember the parent's prompt + register its
 /// think-time gap) -> on_complete (materialize the child arrival at
@@ -108,14 +102,6 @@ class SessionTracker {
                                         const table::Table& t,
                                         std::span<const std::size_t> fo);
 
-  /// Smallest finish->arrival gap among dispatched-but-unfinished
-  /// spawning requests; +infinity when none. The threaded runtime caps
-  /// every epoch at frontier + this so a turn born mid-epoch matures
-  /// strictly after the barrier (the feedback-arrival clock rule,
-  /// DESIGN.md §12) — keeping the epoch cut set a superset of all
-  /// observable due-times.
-  double min_inflight_gap() const;
-
  private:
   struct SpawnCtx {
     tokenizer::TokenSeq prompt;  // the parent's prompt, verbatim
@@ -128,7 +114,6 @@ class SessionTracker {
   /// Child id -> parent prompt + synthetic parent output: the token-exact
   /// prefix contract the session property tests (and audit_trace) pin.
   std::unordered_map<std::uint64_t, tokenizer::TokenSeq> child_prefix_;
-  std::multiset<double> gaps_;  // in-flight spawners' gaps
 };
 
 /// Per-tenant prompt encoders, built lazily: each tenant's instruction

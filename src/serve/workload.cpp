@@ -180,6 +180,10 @@ std::vector<Arrival> arrivals_from_trace(
   std::vector<Arrival> out;
   out.reserve(times.size());
   for (std::size_t i = 0; i < times.size(); ++i) {
+    // NaN compares false against everything, so it would slip past the
+    // ordering check below.
+    if (!std::isfinite(times[i]))
+      throw std::invalid_argument("trace: timestamps must be finite");
     if (i > 0 && times[i] < times[i - 1])
       throw std::invalid_argument("trace: timestamps must be non-decreasing");
     Arrival a;

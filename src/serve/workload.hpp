@@ -113,8 +113,8 @@ struct SessionOptions {
   std::size_t turns = 3;
   /// Mean think-time (Chat) or tool latency (Agent) between a turn's
   /// completion and the next turn's arrival; exponential, floored at
-  /// 1 ms so gaps are strictly positive (the threaded runtime's epoch
-  /// cap relies on spawn time > parent finish time).
+  /// 1 ms so gaps are strictly positive (a follow-up turn always arrives
+  /// strictly after its parent finishes).
   double mean_gap_seconds = 0.5;
 };
 

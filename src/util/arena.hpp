@@ -14,8 +14,7 @@
 //
 // Indices are stable for the lifetime of the pool (slabs are never moved
 // or freed), so callers may hold raw slot indices across allocations.
-// Not thread-safe; callers serialize access (RadixTree is externally
-// locked per stripe).
+// Not thread-safe; the simulator that owns it is single-threaded.
 
 #include <cstddef>
 #include <cstdint>

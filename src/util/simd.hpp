@@ -5,7 +5,7 @@
 // util/token_ops.* exists in a scalar reference form whose result is the
 // SPECIFICATION, and in ISA forms (AVX2 on x86-64, NEON on aarch64) that
 // must be bit-identical to it — the prefix cache's behavior (match
-// lengths, stripe assignment, eviction order, trace bytes) must not
+// lengths, eviction order, trace bytes) must not
 // depend on the machine the binary happens to run on. The ISA is picked
 // once per process: compile-time on aarch64 (NEON is baseline there),
 // cpuid at first use on x86-64. Setting LLMQ_SIMD=scalar in the

@@ -13,6 +13,7 @@
 // a -DLLMQ_BUILD_BENCHES=OFF build) the tests skip rather than fail.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -245,9 +246,7 @@ const std::vector<BenchSpec>& bench_specs() {
           {"replica_drains", kNum},
           {"prefix_migrations", kNum},
           {"migrated_blocks", kNum},
-          {"audit_ok", kNum}}},
-        {"determinism",
-         {{"replicas", kNum}, {"determinism_match", kNum}}}}},
+          {"audit_ok", kNum}}}}},
   };
   return specs;
 }
@@ -332,6 +331,27 @@ std::string spec_name(const ::testing::TestParamInfo<BenchSpec>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllJsonBenches, BenchJsonSchema,
                          ::testing::ValuesIn(bench_specs()), spec_name);
+
+// Every bench shares bench_common.hpp's parse_options, so one binary
+// covers the flag contract: a typo'd flag or a malformed value must stop
+// the run (exit 2) rather than silently run some other configuration.
+TEST(BenchFlags, MalformedFlagsExitWithUsageError) {
+  const std::string binary = std::string(LLMQ_BIN_DIR) + "/bench_table2_phr";
+  if (!file_exists(binary))
+    GTEST_SKIP() << binary << " not built (benches disabled?)";
+  // Each line would run a small, valid config if its bad flag were
+  // ignored, so a lenient parser fails fast here instead of hanging.
+  for (const char* args :
+       {"--scale 0.01 --bogus", "--scale abc", "--scale 0.01 --scale",
+        "--scale 0", "--scale -0.5", "--scale 0.01x", "--scale nan",
+        "--scale 0.01 --seed 12x", "--scale 0.01 --seed -3",
+        "--scale 0.01 --json"}) {
+    const std::string cmd = binary + " " + args + " > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+  }
+}
 
 }  // namespace
 }  // namespace llmq

@@ -41,7 +41,7 @@ struct DiffKey {
   double tol;
   // Wall-clock keys (us/op) measure the host, not the simulation: they
   // are only compared when BOTH the golden and the rerun were produced by
-  // a release, sanitizer-free build — a Debug or ASan/TSan rerun would
+  // a release, sanitizer-free build — a Debug or ASan rerun would
   // fail any honest band. Virtual-time keys never set this.
   bool wallclock = false;
 };
@@ -94,15 +94,6 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"aging_sweep", "batch_p99_e2e_s", true, 0.10},
         {"aging_sweep", "batch_completed", true, 0.10},
         {"aging_sweep", "preemptions", true, 0.10}}},
-      {"bench_threaded_fleet",
-       "BENCH_threaded_fleet.json",
-       {{"threaded_scaling", "agg_phr", false, 0.02},
-        {"threaded_scaling", "p99_ttft_s", true, 0.10},
-        {"threaded_scaling", "load_imbalance", true, 0.10},
-        // The threaded run must STILL match the virtual-clock oracle —
-        // exact, not banded (wall_s_* keys measure the host and are
-        // deliberately not compared).
-        {"threaded_scaling", "determinism_match", false, 0.0}}},
       {"bench_concurrent_queries",
        "BENCH_concurrent_queries.json",
        {{"queries_router", "agg_phr", false, 0.02},
@@ -154,8 +145,8 @@ const std::vector<GoldenSpec>& golden_specs() {
       // Tier hierarchy + elasticity. PHR and tails use the standard
       // bands; the headline tiered-vs-flat ordering is re-asserted by the
       // bench itself (it exits nonzero on violation), so the golden pins
-      // the magnitudes. Audit verdicts and the threaded-vs-oracle match
-      // are exact — a band on a boolean hides a broken invariant.
+      // the magnitudes. Audit verdicts are exact — a band on a boolean
+      // hides a broken invariant.
       {"bench_tiered_cache",
        "BENCH_tiered_cache.json",
        {{"tiers_vs_flat", "agg_phr", false, 0.02},
@@ -167,8 +158,7 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"elasticity", "agg_phr", false, 0.02},
         {"elasticity", "replica_spawns", false, 0.0},
         {"elasticity", "prefix_migrations", false, 0.0},
-        {"elasticity", "audit_ok", false, 0.0},
-        {"determinism", "determinism_match", false, 0.0}}},
+        {"elasticity", "audit_ok", false, 0.0}}},
   };
   return specs;
 }

@@ -181,8 +181,11 @@ TEST(RadixTree, BatchEvictMatchesOneByOneEviction) {
   // The single-scan min-heap batch eviction must take exactly the victims
   // the classic rescan-per-victim loop would: build two identical trees,
   // evict k in one batch from one and k times singly from the other, and
-  // compare the surviving match sets.
-  auto build = [] {
+  // compare the surviving match sets. The tiered input runs the same
+  // check on evict_lru_tier over the host tier of a tree whose oldest
+  // blocks were demoted (some further, to disk), so exposed parents join
+  // the heap only when they sit at the evicted tier.
+  auto build = [](bool tiered) {
     RadixTree t(2);
     // Mixed topology: shared chains + wide fan-out. Timestamps must be
     // monotone (the tree's clock contract), so LRU diversity comes from
@@ -194,6 +197,10 @@ TEST(RadixTree, BatchEvictMatchesOneByOneEviction) {
       const auto b = static_cast<TokenId>(i);
       t.insert(seq({a, a, b, b, static_cast<TokenId>(i * 7 % 5), 1}), now++);
     }
+    if (tiered) {
+      t.demote_lru(30, 0);
+      t.demote_lru(6, 1);
+    }
     return t;
   };
   auto survivors = [](RadixTree& t) {
@@ -201,21 +208,30 @@ TEST(RadixTree, BatchEvictMatchesOneByOneEviction) {
     for (int i = 0; i < 24; ++i) {
       const auto a = static_cast<TokenId>(i % 6);
       const auto b = static_cast<TokenId>(i);
-      out.push_back(t.match_tokens(
-          seq({a, a, b, b, static_cast<TokenId>(i * 7 % 5), 1})));
+      std::size_t gpu = 0, host = 0, disk = 0;
+      t.match_tier_tokens(seq({a, a, b, b, static_cast<TokenId>(i * 7 % 5), 1}),
+                          gpu, host, disk);
+      out.insert(out.end(), {gpu, host, disk});
     }
     return out;
   };
-  for (std::size_t k : {1u, 3u, 7u, 20u, 100u}) {
-    RadixTree batch = build();
-    RadixTree single = build();
-    const std::size_t got = batch.evict_lru(k);
-    std::size_t got_single = 0;
-    for (std::size_t i = 0; i < k; ++i) got_single += single.evict_lru(1);
-    EXPECT_EQ(got, got_single) << "k=" << k;
-    EXPECT_EQ(survivors(batch), survivors(single)) << "k=" << k;
-    EXPECT_EQ(batch.check_invariants(), "");
-    EXPECT_EQ(single.check_invariants(), "");
+  for (bool tiered : {false, true}) {
+    const auto evict = [tiered](RadixTree& t, std::size_t k) {
+      return tiered ? t.evict_lru_tier(k, 1) : t.evict_lru(k);
+    };
+    for (std::size_t k : {1u, 3u, 7u, 20u, 100u}) {
+      RadixTree batch = build(tiered);
+      RadixTree single = build(tiered);
+      ASSERT_EQ(batch.check_invariants(), "");
+      const std::size_t got = evict(batch, k);
+      std::size_t got_single = 0;
+      for (std::size_t i = 0; i < k; ++i) got_single += evict(single, 1);
+      EXPECT_EQ(got, got_single) << "tiered=" << tiered << " k=" << k;
+      EXPECT_EQ(survivors(batch), survivors(single))
+          << "tiered=" << tiered << " k=" << k;
+      EXPECT_EQ(batch.check_invariants(), "");
+      EXPECT_EQ(single.check_invariants(), "");
+    }
   }
 }
 

@@ -45,7 +45,7 @@ class TieredChurn : public ::testing::TestWithParam<TieredChurnParams> {};
 TEST_P(TieredChurn, TierLedgerHoldsUnderRandomInterleavings) {
   const auto p = GetParam();
   util::Rng rng(p.seed * 9371 + 13);
-  PrefixCache cache(CacheConfig{p.block, p.gpu_cap, true, 0, p.tiers,
+  PrefixCache cache(CacheConfig{p.block, p.gpu_cap, true, p.tiers,
                                 p.host_cap, p.disk_cap});
 
   std::vector<tokenizer::TokenSeq> prompts;  // shared-prefix-heavy pool
@@ -160,7 +160,7 @@ TEST(TieredCache, UnpressuredTieredMatchesFlatExactly) {
   // bit-identity contract, exercised from the other side.
   util::Rng rng(77);
   PrefixCache flat(CacheConfig{4, 0, true});
-  PrefixCache tiered(CacheConfig{4, 0, true, 0, 3, 0, 0});
+  PrefixCache tiered(CacheConfig{4, 0, true, 3, 0, 0});
   std::vector<tokenizer::TokenSeq> prompts;
   for (int i = 0; i < 10; ++i) prompts.push_back(random_prompt(rng, 24, 3));
 
@@ -188,7 +188,7 @@ TEST(TieredCache, DemotionPreservesHitsAndPromotionRestoresGpu) {
   // pressure that would zero a flat cache's hit rate must leave a tiered
   // cache able to serve the prefix from host — at a price the lease
   // reports so the engine can charge it.
-  PrefixCache cache(CacheConfig{4, 4, true, 0, 2, 0, 0});
+  PrefixCache cache(CacheConfig{4, 4, true, 2, 0, 0});
   tokenizer::TokenSeq prompt(16);
   std::iota(prompt.begin(), prompt.end(), 100u);
 
@@ -220,8 +220,8 @@ TEST(TieredCache, DemotionPreservesHitsAndPromotionRestoresGpu) {
 TEST(TieredCache, HostPressureCascadesToDiskThenDestroys) {
   // tiers=3: host overflow demotes to disk; disk overflow (or tiers=2
   // host overflow) is destroyed for real and shows up in evicted_blocks.
-  PrefixCache cascade(CacheConfig{2, 2, true, 0, 3, 2, 2});
-  PrefixCache two_tier(CacheConfig{2, 2, true, 0, 2, 2, 0});
+  PrefixCache cascade(CacheConfig{2, 2, true, 3, 2, 2});
+  PrefixCache two_tier(CacheConfig{2, 2, true, 2, 2, 0});
 
   // Three disjoint 2-block prompts = 6 blocks through a 2-block GPU.
   for (int i = 0; i < 3; ++i) {
@@ -250,7 +250,7 @@ TEST(TieredCache, HostPressureCascadesToDiskThenDestroys) {
 
 TEST(TieredCache, PinnedBlocksAreNeverDemoted) {
   // A lease pins the GPU copy; pressure must route around it.
-  PrefixCache cache(CacheConfig{4, 4, true, 0, 2, 0, 0});
+  PrefixCache cache(CacheConfig{4, 4, true, 2, 0, 0});
   tokenizer::TokenSeq prompt(16);
   std::iota(prompt.begin(), prompt.end(), 7u);
   auto lease = cache.lookup(prompt);

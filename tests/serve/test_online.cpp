@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "core/windowed.hpp"
@@ -236,6 +237,18 @@ TEST(Online, EmptyStreamAndInvalidInputs) {
   EXPECT_THROW(run_online(t, fds, dup, cfg), std::invalid_argument);
   std::vector<Arrival> oob = {{0, 0.5, 5, 0}};  // row 5 of a 5-row table
   EXPECT_THROW(run_online(t, fds, oob, cfg), std::invalid_argument);
+  // A NaN time passes every `<` ordering check and would never be
+  // dispatched: it must be rejected, not silently dropped.
+  std::vector<Arrival> nan_time = {
+      {0, 0.0, 0, 0},
+      {1, 0.1, 1, 0},
+      {2, std::numeric_limits<double>::quiet_NaN(), 2, 0},
+      {3, 0.3, 3, 0}};
+  EXPECT_THROW(run_online(t, fds, nan_time, cfg), std::invalid_argument);
+  OnlineConfig replicated = cfg;
+  replicated.n_replicas = 2;
+  EXPECT_THROW(run_online(t, fds, nan_time, replicated),
+               std::invalid_argument);
 }
 
 }  // namespace

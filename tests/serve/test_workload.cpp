@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 namespace llmq::serve {
@@ -147,6 +148,16 @@ TEST(Workload, TraceDriven) {
   EXPECT_THROW(arrivals_from_trace({1.0, 0.5}, {0, 1}), std::invalid_argument);
   EXPECT_THROW(arrivals_from_trace({1.0}, {0, 1}), std::invalid_argument);
   EXPECT_THROW(arrivals_from_trace({1.0}, {0}, {0, 1}), std::invalid_argument);
+  // Non-finite times compare false with `<`, so the ordering check alone
+  // would let them through.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(arrivals_from_trace({0.0, 0.1, nan, 0.3}, {0, 1, 2, 3}),
+               std::invalid_argument);
+  EXPECT_THROW(arrivals_from_trace({nan}, {0}), std::invalid_argument);
+  EXPECT_THROW(arrivals_from_trace({0.0, inf}, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(arrivals_from_trace({-inf, 0.0}, {0, 1}),
+               std::invalid_argument);
 }
 
 TEST(Workload, TraceDrivenPriorityClasses) {
