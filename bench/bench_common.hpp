@@ -22,6 +22,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "query/executor.hpp"
 #include "query/metrics.hpp"
 #include "util/json.hpp"
+#include "util/simd.hpp"
 #include "util/strings.hpp"
 #include "util/table_printer.hpp"
 
@@ -128,16 +130,33 @@ struct JsonField {
   JsonField(std::string k, const char* v) : key(std::move(k)), str(v) {}
 };
 
+/// The host's CPU model as /proc/cpuinfo names it; "unknown" where that
+/// file or its "model name" line is missing (non-Linux, some aarch64).
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos)
+      return std::string(util::trim(std::string_view(line).substr(colon + 1)));
+  }
+  return "unknown";
+}
+
 /// Machine-readable bench output (--json): named sections of records,
 /// written once via util::JsonWriter when the report is finalized.
 ///
 ///   { "bench": ..., "scale": ..., "seed": ..., "schema_version": ...,
-///     "provenance": { build_type, sanitizer, compiler, compiler_version },
+///     "provenance": { build_type, sanitizer, compiler, compiler_version,
+///                     cpu_model, hardware_threads, isa },
 ///     "sections": { "<name>": [ { k: v, ... }, ... ], ... } }
 ///
-/// Provenance pins the toolchain a BENCH_*.json snapshot came from so a
-/// golden-vs-rerun diff can tell "the code regressed" apart from "you are
-/// comparing a sanitizer debug build against a release golden".
+/// Provenance pins the toolchain and host a BENCH_*.json snapshot came
+/// from so a golden-vs-rerun diff can tell "the code regressed" apart from
+/// "you are comparing a sanitizer debug build against a release golden"
+/// or "you are comparing this machine's µs/op against another machine's".
+/// The host fingerprint is the CPU model, the hardware thread count and
+/// the ISA the token kernels dispatched to (util/simd.hpp).
 class JsonReport {
  public:
   JsonReport(std::string bench_name, const BenchOptions& opt)
@@ -194,6 +213,10 @@ class JsonReport {
     w.key("compiler").value("unknown");
     w.key("compiler_version").value("0");
 #endif
+    w.key("cpu_model").value(cpu_model());
+    w.key("hardware_threads")
+        .value(static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+    w.key("isa").value(util::simd::name(util::simd::active_isa()));
     w.end_object();
     w.key("sections").begin_object();
     for (const auto& [section, records] : sections_) {
@@ -238,8 +261,9 @@ class JsonReport {
 /// strictly additive, so the fastest observation is the closest to the
 /// true cost. Every wall-clock number a bench reports (trace-overhead
 /// guard, micro kernels) goes through this one helper so the
-/// methodology cannot drift between benches. Wall-clock keys are never
-/// golden-diffed — they measure the machine, not the simulator.
+/// methodology cannot drift between benches. Wall-clock keys measure the
+/// machine, not the simulator: they are golden-diffed only against a
+/// golden from the same host (provenance fingerprint).
 class WallClockTimer {
  public:
   explicit WallClockTimer(int reps = 5, int warmup = 1)

@@ -1,6 +1,7 @@
 #include "serve/fleet.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "llm/cost_model.hpp"
@@ -255,13 +256,30 @@ double ReplicaFleet::frontier(double now) const {
   return now;
 }
 
-ReplicaFleet::StepResult ReplicaFleet::step() {
-  StepResult out;
-  out.replica = earliest_busy();
-  llm::EngineSession::StepEvents ev = replicas_[out.replica]->session.step();
-  out.completed = std::move(ev.completed);
-  out.preempted = ev.preempted;
-  return out;
+double ReplicaFleet::run(FleetSource& source, double now,
+                         const obs::TraceConfig& trace) {
+  obs::SampleClock sampler(trace.timeseries, trace.sample_interval_seconds);
+  while (source.pending() || any_work()) {
+    now = frontier(now);
+    if (sampler.due(now)) {
+      sample_gauges(*sampler.series(), now);
+      sampler.advance_past(now);
+    }
+    source.release(now);
+    if (const std::size_t r = earliest_busy(); r < replicas_.size()) {
+      const llm::EngineSession::StepEvents ev = replicas_[r]->session.step();
+      for (const llm::RequestResult& res : ev.completed)
+        source.complete(res, r);
+      continue;
+    }
+    // Everything idle: jump to the source's next event, or drain it.
+    const double t_next = source.next_time();
+    if (std::isfinite(t_next))
+      now = std::max(now, t_next);
+    else if (!source.flush(now))
+      break;  // defensive: nothing pending after all
+  }
+  return now;
 }
 
 std::vector<ReplicaMetrics> ReplicaFleet::replica_metrics() const {

@@ -2,23 +2,22 @@
 // Replica fleet: N independent engine+cache replicas behind one router,
 // stepped on a merged virtual clock.
 //
-// Extracted from the run_online_replicated event loop so that two drivers
-// share one replicated execution core:
+// ReplicaFleet::run is the one event loop every serving entry point runs
+// on. A caller supplies a FleetSource — what to dispatch when, and what to
+// do with each completion — and the fleet does the rest. There are two
+// sources:
 //
-//   * the arrival-stream loop (online.cpp): scheduler windows dispatch
-//     requests into the fleet;
+//   * the arrival stream (run_online, online.cpp): arrivals feed the
+//     scheduler, and due windows dispatch requests into the fleet;
 //   * the query-serving client (query_client.hpp): concurrent relational
 //     queries submit their per-row invocations into the same fleet.
 //
-// The fleet owns routing, per-replica submission, the merged-clock frontier
-// rule, per-replica attribution counters, elasticity (watermark-driven
-// scale-up/down with warm-spawn prefix migration — see ElasticityConfig),
-// and the outstanding-load
-// imbalance sampling; drivers own arrival semantics (what to dispatch
-// when) and completion bookkeeping. The clock-merge rule is documented in
-// online.hpp and DESIGN.md §3.1 and is unchanged by the extraction — the
-// n_replicas == 1 bit-exact equivalence test in tests/router/ still pins
-// it.
+// The fleet owns routing, per-replica submission, the merged-clock
+// frontier rule, per-replica attribution counters, elasticity
+// (watermark-driven scale-up/down with warm-spawn prefix migration — see
+// ElasticityConfig), gauge sampling and the outstanding-load imbalance
+// sampling. The clock-merge rule is documented in online.hpp and
+// DESIGN.md §3.1.
 
 #include <cstdint>
 #include <memory>
@@ -26,6 +25,7 @@
 
 #include "llm/engine.hpp"
 #include "llm/engine_session.hpp"
+#include "obs/trace.hpp"
 #include "serve/router.hpp"
 
 namespace llmq::serve {
@@ -108,12 +108,33 @@ struct ReplicaMetrics {
 llm::EngineMetrics aggregate_replica_engines(
     const std::vector<ReplicaMetrics>& replicas);
 
+/// The caller's side of ReplicaFleet::run.
+class FleetSource {
+ public:
+  /// Work not yet dispatched; the loop runs while this or a replica is
+  /// busy.
+  virtual bool pending() const = 0;
+  /// Dispatch (ReplicaFleet::dispatch) everything due at merged time
+  /// `now`.
+  virtual void release(double now) = 0;
+  /// One engine completion from `replica`.
+  virtual void complete(const llm::RequestResult& res,
+                        std::size_t replica) = 0;
+  /// Earliest future time release() has work; +infinity when none.
+  virtual double next_time() const = 0;
+  /// Called when the fleet is idle and next_time() is infinite: dispatch
+  /// whatever is still buffered. Returns false when nothing was (the loop
+  /// then ends).
+  virtual bool flush(double now) = 0;
+
+ protected:
+  ~FleetSource() = default;  // never owned through this interface
+};
+
 class ReplicaFleet {
  public:
   /// Throws std::invalid_argument when config.n_replicas == 0.
   explicit ReplicaFleet(const FleetConfig& config);
-
-  std::size_t n_replicas() const { return replicas_.size(); }
 
   /// Route `req` and submit it to the chosen replica: builds the router's
   /// read-only views, brings an idle target's clock to `now` (admission
@@ -121,27 +142,15 @@ class ReplicaFleet {
   /// outstanding-load imbalance. Returns the chosen replica.
   std::size_t dispatch(llm::Request req, std::uint32_t tenant, double now);
 
-  bool any_work() const;
-
-  /// Busy replica with the earliest clock; n_replicas() when all idle.
-  std::size_t earliest_busy() const;
-
-  /// Merged-clock frontier rule applied to a driver clock `now`: the
-  /// earliest busy replica clock while anything runs, the furthest
-  /// replica clock when all are idle; never moves `now` backwards.
-  double frontier(double now) const;
-
-  struct StepResult {
-    std::size_t replica = 0;
-    /// Automatic priority preemptions this step performed (victims are
-    /// re-queued inside the replica session — they surface again through
-    /// `completed` when they eventually finish).
-    std::size_t preempted = 0;
-    std::vector<llm::RequestResult> completed;
-  };
-  /// Step the busy replica with the earliest clock (one admission round +
-  /// one decode step). Precondition: any_work().
-  StepResult step();
+  /// The merged event loop, from merged clock `now` until `source` has
+  /// nothing pending and every replica is idle. Each iteration advances
+  /// the clock to the frontier, samples gauges into trace.timeseries,
+  /// calls source.release(now), then steps the busy replica with the
+  /// earliest clock (one admission round + one decode step), handing its
+  /// completions to source.complete. When every replica is idle the clock
+  /// jumps to source.next_time(), or source.flush(now) runs when no future
+  /// time is left. Returns the final clock.
+  double run(FleetSource& source, double now, const obs::TraceConfig& trace);
 
   /// Per-replica attribution with each replica's final engine metrics.
   std::vector<ReplicaMetrics> replica_metrics() const;
@@ -150,27 +159,11 @@ class ReplicaFleet {
   /// (1.0 = perfectly balanced at every decision; 1.0 when no decisions).
   double load_imbalance() const;
 
-  /// Read-only replica session access (clock and cache probes in tests).
-  const llm::EngineSession& session(std::size_t r) const {
-    return replicas_[r]->session;
-  }
-
-  /// Elasticity observers (constant under a disabled ElasticityConfig:
-  /// every replica active, none draining, nothing pending).
-  std::size_t active_replicas() const;
-  bool replica_active(std::size_t r) const { return active_[r] != 0; }
-  bool replica_draining(std::size_t r) const { return draining_[r] != 0; }
-  std::size_t pending_migrations() const { return pending_.size(); }
-
   /// Bind an event sink: each replica session (and its cache) emits on
   /// track r; dispatch() additionally emits a RouteDecision per request
   /// on the global track (the merged driver clock can be ahead of a busy
   /// replica's clock, so routing events must not claim a replica track).
   void set_trace(obs::TraceSink* sink);
-
-  /// Append one gauge row per replica at merged time `now` (time-series
-  /// sampling; see obs/timeseries.hpp).
-  void sample_gauges(obs::TimeSeries& ts, double now) const;
 
  private:
   struct Replica {
@@ -198,6 +191,19 @@ class ReplicaFleet {
   /// draining replicas, then applies at most one watermark decision.
   void maybe_scale(double now);
   void complete_migrations(double now);
+  /// Replicas currently in the active set (serving or draining).
+  std::size_t active_replicas() const;
+
+  bool any_work() const;
+  /// Busy replica with the earliest clock; replicas_.size() when all idle.
+  std::size_t earliest_busy() const;
+  /// Merged-clock frontier rule applied to a merged clock `now`: the
+  /// earliest busy replica clock while anything runs, the furthest
+  /// replica clock when all are idle; never moves `now` backwards.
+  double frontier(double now) const;
+  /// Append one gauge row per replica at merged time `now` (time-series
+  /// sampling; see obs/timeseries.hpp).
+  void sample_gauges(obs::TimeSeries& ts, double now) const;
 
   std::vector<std::unique_ptr<Replica>> replicas_;
   Router router_;

@@ -1,9 +1,9 @@
 #pragma once
 // Online serving driver: stream -> scheduler -> router -> engine replicas.
 //
-// run_online() is the event loop that turns the paper's batch pipeline
-// into a serving scenario. It interleaves four components over simulated
-// time:
+// run_online() turns the paper's batch pipeline into a serving scenario.
+// Its fleet event loop (ReplicaFleet::run, with the arrival stream as the
+// source) interleaves four components over simulated time:
 //
 //   1. arrivals whose timestamp has passed are fed to the scheduler;
 //   2. due windows (row bound or wait deadline, see scheduler.hpp) are
@@ -16,14 +16,15 @@
 //      idle the clock jumps to the next arrival or deadline.
 //
 // Replica clock merge rule: every replica runs its own virtual clock (its
-// EngineSession's). The merged loop always steps the busy replica with the
-// earliest clock, and the global clock tracks that execution frontier —
-// min over busy replica clocks while any replica is busy, catching up to
-// the furthest replica clock when all go idle. Work dispatched at global
-// time t to a replica whose clock has already passed t queues at the
-// replica clock: the same step-boundary quantization a single engine has.
-// With n_replicas == 1 the merged loop reduces exactly — event for event —
-// to the single-engine loop (the equivalence tests/router/ checks).
+// EngineSession's). The merged loop (ReplicaFleet::run) always steps the
+// busy replica with the earliest clock, and the global clock tracks that
+// execution frontier — min over busy replica clocks while any replica is
+// busy, catching up to the furthest replica clock when all go idle. Work
+// dispatched at global time t to a replica whose clock has already passed
+// t queues at the replica clock: the same step-boundary quantization a
+// single engine has. Every run goes through that loop, n_replicas == 1
+// included; with one replica every router policy routes identically (the
+// policy-invariance test in tests/router/).
 //
 // The emitted schedule is also returned as a core::Ordering over the
 // arrival-ordered table, so the online result can be compared head-to-head
@@ -81,12 +82,11 @@ struct OnlineConfig {
   /// driver MUST be sessions->roots (validated); follow-up turns
   /// materialize as feedback arrivals when their parent completes, with
   /// arrival time = parent finish + the planned gap, and ids allocated
-  /// past the roots in completion order — a pure function of the run, so
-  /// both drivers (single-engine and replicated) spawn the exact same
-  /// stream.
+  /// past the roots in completion order — a pure function of (stream,
+  /// config), so a rerun spawns the exact same stream.
   const SessionWorkload* sessions = nullptr;
 
-  /// Output-length predictor (serve/length_predictor.hpp). Each driver
+  /// Output-length predictor (serve/length_predictor.hpp). run_online
   /// builds one predictor per run, observes every completion in oracle
   /// order, and stamps Request::predicted_output_tokens at dispatch.
   /// Pair with engine.spjf and/or scheduler.spjf to act on the
@@ -96,14 +96,13 @@ struct OnlineConfig {
   /// Replication: number of independent engine+cache replicas. `engine`,
   /// `model`, and `gpu` describe ONE replica (n_replicas doubles the
   /// fleet's aggregate KV memory; divide the per-replica pool to hold the
-  /// total fixed). 1 = the classic single-engine path.
+  /// total fixed). 1 = one engine behind the same fleet loop.
   std::size_t n_replicas = 1;
   /// How scheduled requests are assigned to replicas (see router.hpp).
   RouterPolicy router = RouterPolicy::PrefixAffinity;
   /// Elastic fleet sizing (fleet.hpp): watermark-driven scale-up/down
   /// with warm-spawn prefix migration. n_replicas is the INITIAL active
-  /// count; the fleet may grow to elasticity.max_replicas. Enabling this
-  /// routes even n_replicas == 1 runs through the replicated driver.
+  /// count; the fleet may grow to elasticity.max_replicas.
   ElasticityConfig elasticity;
 
   /// Observability: optional event sink + time-series sampler threaded
@@ -184,8 +183,8 @@ struct OnlineRunResult {
   /// Completed requests per tenant id.
   std::vector<std::size_t> per_tenant;
 
-  /// Per-replica breakdown; size == n_replicas (size 1 for the single
-  /// path; the elasticity ceiling when elastic scaling is enabled —
+  /// Per-replica breakdown; size == n_replicas (the elasticity ceiling
+  /// when elastic scaling is enabled and the stream is non-empty —
   /// replicas that never activated report all-zero slices).
   std::vector<ReplicaMetrics> replicas;
   /// Per-priority-class breakdown (always kNumPriorityClasses entries in
@@ -221,23 +220,12 @@ struct OnlineRunResult {
   double load_imbalance = 1.0;
 };
 
-/// Serve `arrivals` (sorted by time, unique ids) drawn from rows of `t`.
-/// Dispatches to the single-engine loop when n_replicas == 1 and to the
-/// replicated loop otherwise. Throws std::invalid_argument for
-/// n_replicas == 0.
+/// Serve `arrivals` (sorted by time, unique ids) drawn from rows of `t`
+/// on a ReplicaFleet of config.n_replicas replicas (elastic or not), with
+/// the arrival stream as the fleet's source. Throws std::invalid_argument
+/// for n_replicas == 0.
 OnlineRunResult run_online(const table::Table& t, const table::FdSet& fds,
                            const std::vector<Arrival>& arrivals,
                            const OnlineConfig& config);
-
-/// The replicated driver itself, callable for any n_replicas >= 1. At
-/// n_replicas == 1 it is equivalent to the single-engine run_online —
-/// same emitted ordering, PHC, hit rate, and timings (the property
-/// tests/router/ pins this down); run_online keeps the dedicated single
-/// path so that equivalence stays a checkable claim rather than a
-/// tautology.
-OnlineRunResult run_online_replicated(const table::Table& t,
-                                      const table::FdSet& fds,
-                                      const std::vector<Arrival>& arrivals,
-                                      const OnlineConfig& config);
 
 }  // namespace llmq::serve

@@ -65,7 +65,7 @@ void QuerySession::submit(double time, llm::Request req,
 }
 
 QueryClient::QueryClient(const FleetConfig& fleet, Options options)
-    : fleet_config_(fleet), options_(options), fleet_(fleet) {
+    : options_(options), fleet_(fleet) {
   if (options_.trace.sink) fleet_.set_trace(options_.trace.sink);
 }
 
@@ -212,33 +212,32 @@ void QueryClient::complete_from_memo(Meta meta, const MemoEntry& entry) {
 }
 
 void QueryClient::run() {
-  obs::SampleClock sampler(
-      options_.trace.sampling() ? options_.trace.timeseries : nullptr,
-      options_.trace.sample_interval_seconds);
-  while (!heap_.empty() || fleet_.any_work()) {
-    // 0. Advance the merged clock to the execution frontier.
-    now_ = fleet_.frontier(now_);
-    if (sampler.due(now_)) {
-      fleet_.sample_gauges(*sampler.series(), now_);
-      sampler.advance_past(now_);
+  // The submission heap as the fleet's source: every submission whose
+  // timestamp has passed is processed at the merged clock.
+  struct Source final : FleetSource {
+    QueryClient& c;
+    explicit Source(QueryClient& client) : c(client) {}
+    bool pending() const override { return !c.heap_.empty(); }
+    void release(double now) override {
+      c.now_ = now;
+      while (!c.heap_.empty() && c.heap_.front().time <= now) {
+        std::pop_heap(c.heap_.begin(), c.heap_.end(), SubmissionAfter{});
+        Submission s = std::move(c.heap_.back());
+        c.heap_.pop_back();
+        c.process(std::move(s));
+      }
     }
-    // 1. Process every submission whose timestamp has passed.
-    while (!heap_.empty() && heap_.front().time <= now_) {
-      std::pop_heap(heap_.begin(), heap_.end(), SubmissionAfter{});
-      Submission s = std::move(heap_.back());
-      heap_.pop_back();
-      process(std::move(s));
+    void complete(const llm::RequestResult& res,
+                  std::size_t replica) override {
+      c.on_engine_complete(res, replica);
     }
-    // 2. Execute: step the busy replica with the earliest clock.
-    if (fleet_.any_work()) {
-      ReplicaFleet::StepResult st = fleet_.step();
-      for (const llm::RequestResult& res : st.completed)
-        on_engine_complete(res, st.replica);
-      continue;
+    double next_time() const override {
+      return c.heap_.empty() ? std::numeric_limits<double>::infinity()
+                             : c.heap_.front().time;
     }
-    // 3. Everything idle: jump to the next submission.
-    if (!heap_.empty()) now_ = std::max(now_, heap_.front().time);
-  }
+    bool flush(double) override { return false; }
+  } source(*this);
+  now_ = fleet_.run(source, now_, options_.trace);
   if (!waiting_.empty())
     throw std::logic_error(
         "QueryClient: followers parked with no leader in flight");

@@ -8,9 +8,9 @@
 // layers: a QueryClient fronts one ReplicaFleet shared by N concurrent
 // queries; each query opens a QuerySession (its *lane*, whose index is
 // the tenant tag the router sees) and submits its per-row LLM invocations
-// as timestamped requests. The client drives the merged event loop and
-// delivers completions through per-request callbacks over the virtual
-// clock — the stage collects its answers keyed by row id, so completion
+// as timestamped requests. The client runs the fleet's event loop
+// (ReplicaFleet::run) with its submission heap as the source and
+// delivers completions through per-request callbacks — the stage collects its answers keyed by row id, so completion
 // order cannot change query results (the order-independence property
 // tests/serve/ pins: one query served here returns per-row answers
 // identical to the offline run_stage path).
@@ -140,7 +140,6 @@ class QueryClient {
   void complete_from_memo(Meta meta, const MemoEntry& entry);
   void record(const ServedRequest& sr, const QuerySession::Completion& done);
 
-  FleetConfig fleet_config_;
   Options options_;
   ReplicaFleet fleet_;
   std::vector<std::unique_ptr<QuerySession>> sessions_;

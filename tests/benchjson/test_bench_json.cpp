@@ -286,20 +286,23 @@ TEST_P(BenchJsonSchema, TrivialRunEmitsRequiredKeysAndTypes) {
   EXPECT_TRUE(doc->find("scale")->is_number());
   ASSERT_NE(doc->find("seed"), nullptr);
   EXPECT_TRUE(doc->find("seed")->is_number());
-  // Envelope v2: schema version + toolchain provenance (a golden diff
-  // must be able to refuse cross-toolchain comparisons).
+  // Envelope v2: schema version + toolchain and host provenance (a
+  // golden diff must be able to refuse cross-toolchain and cross-host
+  // wall-clock comparisons).
   ASSERT_NE(doc->find("schema_version"), nullptr);
   EXPECT_TRUE(doc->find("schema_version")->is_number());
   const util::JsonValue* prov = doc->find("provenance");
   ASSERT_NE(prov, nullptr);
   ASSERT_TRUE(prov->is_object());
-  for (const char* key :
-       {"build_type", "sanitizer", "compiler", "compiler_version"}) {
+  for (const char* key : {"build_type", "sanitizer", "compiler",
+                          "compiler_version", "cpu_model", "isa"}) {
     const util::JsonValue* v = prov->find(key);
     ASSERT_NE(v, nullptr) << "provenance lacks " << key;
     EXPECT_TRUE(v->is_string()) << "provenance." << key;
     EXPECT_FALSE(v->as_string().empty()) << "provenance." << key;
   }
+  ASSERT_NE(prov->find("hardware_threads"), nullptr);
+  EXPECT_TRUE(prov->find("hardware_threads")->is_number());
   const util::JsonValue* sections = doc->find("sections");
   ASSERT_NE(sections, nullptr);
   ASSERT_TRUE(sections->is_object());

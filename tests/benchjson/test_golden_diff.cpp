@@ -9,11 +9,14 @@
 // that must be acknowledged by regenerating the snapshot, not discovered
 // by downstream tooling. Wall-clock keys measure the host, not the code:
 // virtual-time benches never compare them at all, and bench_micro's us/op
-// keys are compared only between release non-sanitizer builds (provenance
-// gate) within a coarse catastrophe band.
+// keys are compared only when the golden came from this same host and
+// build (provenance fingerprint). Across hosts, bench_micro is held to
+// its same-run ratios instead — SIMD speedup over scalar, and child
+// lookup cost vs fan-out — which both sides measure on one machine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "util/json.hpp"
+#include "util/simd.hpp"
 
 #ifndef LLMQ_BIN_DIR
 #define LLMQ_BIN_DIR "."
@@ -40,9 +44,10 @@ struct DiffKey {
   bool relative;  // tolerance as a fraction of the golden value
   double tol;
   // Wall-clock keys (us/op) measure the host, not the simulation: they
-  // are only compared when BOTH the golden and the rerun were produced by
-  // a release, sanitizer-free build — a Debug or ASan rerun would
-  // fail any honest band. Virtual-time keys never set this.
+  // are only compared when the golden and the rerun were produced by
+  // release, sanitizer-free builds on the same host — a Debug or ASan
+  // rerun, or another CPU, would fail any honest band. Virtual-time keys
+  // never set this.
   bool wallclock = false;
 };
 
@@ -124,10 +129,12 @@ const std::vector<GoldenSpec>& golden_specs() {
       // Hot-path microbench: the deterministic outputs (hash fingerprints,
       // cache hit/insert/evict counts, the zero-steady-state-allocation
       // audit) must match the snapshot exactly. us/op keys are compared
-      // only between release non-sanitizer builds, and in a 2x band —
+      // only against a same-host release golden, and in a 2x band —
       // single-core hosts jitter +/-40% run to run, so the band is an
       // anti-catastrophe tripwire (a lost SIMD dispatch is 4-5x, a lost
-      // child index 10x+), not a precision perf gate.
+      // child index 10x+), not a precision perf gate. The same-run ratio
+      // gates (expect_micro_ratios_hold) cover those catastrophes on
+      // every host.
       {"bench_micro",
        "BENCH_micro.json",
        {{"token_ops", "hash_check", false, 0.0},
@@ -168,15 +175,81 @@ bool file_exists(const std::string& path) {
   return f.good();
 }
 
-/// True when a report's provenance says "release build, no sanitizer" —
-/// the only configuration whose wall-clock numbers are comparable.
-bool timing_comparable(const util::JsonValue& doc) {
-  const util::JsonValue* prov = doc.find("provenance");
-  if (prov == nullptr) return false;
-  const util::JsonValue* build = prov->find("build_type");
-  const util::JsonValue* san = prov->find("sanitizer");
-  return build != nullptr && san != nullptr &&
-         build->as_string() == "release" && san->as_string() == "none";
+/// True when both reports say "release build, no sanitizer" and carry the
+/// same host fingerprint (CPU model, hardware threads, dispatched ISA) —
+/// the only pairs whose absolute wall-clock numbers are comparable. A
+/// golden without a fingerprint counts as another host.
+bool timing_comparable(const util::JsonValue& golden,
+                       const util::JsonValue& fresh) {
+  const util::JsonValue* gp = golden.find("provenance");
+  const util::JsonValue* fp = fresh.find("provenance");
+  if (gp == nullptr || fp == nullptr) return false;
+  for (const util::JsonValue* prov : {gp, fp}) {
+    const util::JsonValue* build = prov->find("build_type");
+    const util::JsonValue* san = prov->find("sanitizer");
+    if (build == nullptr || san == nullptr ||
+        build->as_string() != "release" || san->as_string() != "none")
+      return false;
+  }
+  for (const char* key : {"cpu_model", "hardware_threads", "isa"}) {
+    const util::JsonValue* g = gp->find(key);
+    const util::JsonValue* f = fp->find(key);
+    if (g == nullptr || f == nullptr || g->type() != f->type()) return false;
+    if (g->is_number() ? g->as_number() != f->as_number()
+                       : g->as_string() != f->as_string())
+      return false;
+  }
+  return true;
+}
+
+double number_at(const util::JsonValue& sections, const char* section,
+                 std::size_t i, const char* key) {
+  const util::JsonValue* v = sections.find(section)->as_array()[i].find(key);
+  if (v == nullptr) ADD_FAILURE() << section << "[" << i << "]." << key;
+  return v != nullptr ? v->as_number() : 0.0;
+}
+
+/// bench_micro's same-run ratios. Both sides of each ratio come from one
+/// process on one host, so unlike absolute us/op they are comparable
+/// across hosts. Each is held to the golden's own ratio within the same
+/// 2x catastrophe band, one-sided: a faster SIMD path or a flatter child
+/// lookup never fails.
+void expect_micro_ratios_hold(const util::JsonValue& gsec,
+                              const util::JsonValue& fsec) {
+  // SIMD speedup over the scalar reference where the vector loop
+  // dominates: the median over the len >= 64 records, so one noisy
+  // nanosecond-scale timing cannot decide it. Gated whenever this host can
+  // dispatch the ISA the golden was recorded with; a forced-scalar rerun
+  // (LLMQ_SIMD=scalar) measures ~1x and fails.
+  const std::string& isa =
+      gsec.find("token_ops")->as_array()[0].find("isa")->as_string();
+  if (isa == util::simd::name(util::simd::detail::detect())) {
+    const auto median_speedup = [](const util::JsonValue& sec) {
+      std::vector<double> v;
+      for (std::size_t i = 0; i < sec.find("token_ops")->as_array().size();
+           ++i)
+        if (number_at(sec, "token_ops", i, "len") >= 64)
+          v.push_back(number_at(sec, "token_ops", i, "lcp_speedup"));
+      std::sort(v.begin(), v.end());
+      return v.empty() ? 0.0 : v[v.size() / 2];
+    };
+    const double g = median_speedup(gsec);
+    EXPECT_GE(median_speedup(fsec), g / 2.0)
+        << "token_ops lcp_speedup (median, len >= 64): the dispatched "
+        << isa << " kernel lost its edge over scalar (golden " << g << "x)";
+  }
+  // Child-lookup flatness: hit cost at the largest fan-out over the
+  // smallest. The open-addressed child index keeps it near flat; a linear
+  // child scan grows with the fan-out.
+  const auto flatness = [](const util::JsonValue& sec) {
+    const std::size_t last = sec.find("radix_fanout")->as_array().size() - 1;
+    return number_at(sec, "radix_fanout", last, "hit_us") /
+           number_at(sec, "radix_fanout", 0, "hit_us");
+  };
+  const double g = flatness(gsec);
+  EXPECT_LE(flatness(fsec), 2.0 * g)
+      << "radix_fanout hit_us grows with fan-out: child index lost? "
+      << "(golden largest/smallest fan-out ratio " << g << ")";
 }
 
 std::optional<util::JsonValue> parse_file(const std::string& path) {
@@ -225,8 +298,7 @@ TEST_P(BenchGoldenDiff, HeadlineNumbersMatchSnapshotWithinTolerance) {
   const util::JsonValue* fsec = fresh->find("sections");
   ASSERT_NE(gsec, nullptr);
   ASSERT_NE(fsec, nullptr);
-  const bool compare_wallclock =
-      timing_comparable(*golden) && timing_comparable(*fresh);
+  const bool compare_wallclock = timing_comparable(*golden, *fresh);
   for (const DiffKey& dk : spec.keys) {
     if (dk.wallclock && !compare_wallclock) continue;
     const util::JsonValue* grecs = gsec->find(dk.section);
@@ -250,6 +322,8 @@ TEST_P(BenchGoldenDiff, HeadlineNumbersMatchSnapshotWithinTolerance) {
           << "); if intentional, regenerate it";
     }
   }
+  if (std::string(spec.binary) == "bench_micro")
+    expect_micro_ratios_hold(*gsec, *fsec);
   std::remove(out_path.c_str());
 }
 

@@ -34,6 +34,10 @@ void expect_matches_engine(const AuditResult& audit,
   EXPECT_EQ(audit.pin_balance, 0);
 
   EXPECT_EQ(audit.windows, r.windows);
+  // Every enqueued request was dispatched through exactly one route
+  // decision, at every replica count (the auditor checks each decision
+  // matches the replica it was then enqueued on; here we check the count).
+  EXPECT_EQ(audit.route_decisions, audit.enqueued);
   for (std::size_t c = 0; c < r.per_class.size(); ++c)
     EXPECT_EQ(audit.per_class_finished[c], r.per_class[c].requests)
         << "class " << c;
@@ -55,12 +59,7 @@ TEST(TraceAudit, ConfirmsLedgersOnReplicatedRun) {
   // Four replicas: per-request ledgers span tracks, route decisions ride
   // the global track, and the merged EngineMetrics sums all sessions.
   const auto run = obs_test::run_traced(4, /*preemption=*/true, /*chunk=*/0);
-  const AuditResult audit = audit_trace(run.log);
-  expect_matches_engine(audit, run.result);
-  // Every enqueued request was dispatched through exactly one route
-  // decision, and each matched the replica it was then enqueued on (the
-  // auditor checks the pairing; here we check the count).
-  EXPECT_EQ(audit.route_decisions, audit.enqueued);
+  expect_matches_engine(audit_trace(run.log), run.result);
 }
 
 TEST(TraceAudit, FlagsCorruptedTrace) {
