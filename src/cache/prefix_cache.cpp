@@ -180,11 +180,7 @@ std::size_t PrefixCache::evict(std::size_t n) {
 // ---- Tier machinery. ----
 
 std::size_t PrefixCache::demote_gpu(std::size_t n) {
-  // One block per call: demote_lru skips a node whose same-tier child
-  // ties it on recency, so only the want=1 loop drains in exact
-  // oldest-first order.
-  std::size_t demoted = 0;
-  while (demoted < n && tree_.demote_lru(1, 0) == 1) ++demoted;
+  const std::size_t demoted = tree_.demote_lru(n, 0);
   if (demoted > 0) {
     pool_.release(demoted);
     host_used_ += demoted;
@@ -207,8 +203,7 @@ void PrefixCache::rebalance_lower_tiers() {
     if (config_.tiers >= 3) {
       // Push host overflow down to disk, oldest first. Host blocks are
       // never pinned (pinned => GPU), so this always clears the excess.
-      std::size_t moved = 0;
-      while (moved < excess && tree_.demote_lru(1, 1) == 1) ++moved;
+      const std::size_t moved = tree_.demote_lru(excess, 1);
       host_used_ -= moved;
       disk_used_ += moved;
       stats_.demoted_blocks += moved;
@@ -441,6 +436,9 @@ void PrefixCache::cancel_lookup(CacheLease& lease, std::size_t prompt_tokens) {
 }
 
 std::string PrefixCache::check_invariants() const {
+  // The tree's check walks every slot and cross-checks its pinned and
+  // per-tier counters against the walk; the ledger below then compares
+  // those counters with the pool and tier accounting.
   const std::string tree = tree_.check_invariants();
   if (!tree.empty()) return "tree: " + tree;
   const std::size_t resident = tree_.num_blocks();

@@ -1,7 +1,9 @@
 #include "cache/radix_tree.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "util/token_ops.hpp"
 
@@ -104,12 +106,15 @@ NodeId RadixTree::add_child(NodeId node, std::span<const TokenId> block,
     std::fill(n.index.table.begin(), n.index.table.end(), kNoNode);
   n.last_access = now;
   n.ref_count = 0;
+  std::fill(std::begin(n.tier_children), std::end(n.tier_children), 0u);
   n.tier = 0;  // new blocks are always born GPU-resident
   n.alive = true;
+  ++tiers_[0].blocks;
 
   Node& p = pool_[node];
   n.pos_in_parent = static_cast<std::uint32_t>(p.children.size());
   p.children.push_back(id);
+  ++p.tier_children[0];
   if (!p.index.table.empty()) {
     // Keep the table at load factor <= 3/4.
     if ((p.index.size + 1) * 4 > p.index.table.size() * 3)
@@ -120,6 +125,8 @@ NodeId RadixTree::add_child(NodeId node, std::span<const TokenId> block,
     index_rebuild(p, p.children.size() * 2);
   }
   ++num_blocks_;
+  reindex(id);
+  reindex(node);
   return id;
 }
 
@@ -127,13 +134,17 @@ void RadixTree::remove_node(NodeId id) {
   Node& n = pool_[id];
   // Eviction must never take a pinned block (an in-flight request's KV
   // would dangle) or an inner node (the tree must stay prefix-closed).
-  // evict_lru filters for both; enforce here so any future caller that
+  // The leaf heaps hold neither; enforce here so any future caller that
   // forgets fails loudly instead of corrupting leases.
   if (n.ref_count > 0)
     throw std::logic_error("RadixTree: removing a pinned node");
   if (!n.children.empty())
     throw std::logic_error("RadixTree: removing a non-leaf node");
-  Node& p = pool_[n.parent];
+  unindex(id);
+  --tiers_[n.tier].blocks;
+  const NodeId parent = n.parent;
+  Node& p = pool_[parent];
+  --p.tier_children[n.tier];
   // O(1) swap-remove: child order is unobservable (lookups go through the
   // hash index or an unordered scan), so move the last sibling into the
   // vacated position.
@@ -146,6 +157,84 @@ void RadixTree::remove_node(NodeId id) {
   n.alive = false;
   pool_.deallocate(id);
   --num_blocks_;
+  reindex(parent);
+}
+
+void RadixTree::set_tier(NodeId id, std::uint8_t tier) {
+  Node& n = pool_[id];
+  if (n.tier == tier) return;
+  unindex(id);
+  --tiers_[n.tier].blocks;
+  ++tiers_[tier].blocks;
+  Node& p = pool_[n.parent];
+  --p.tier_children[n.tier];
+  ++p.tier_children[tier];
+  n.tier = tier;
+  reindex(id);
+  reindex(n.parent);
+}
+
+void RadixTree::set_access(NodeId id, std::uint64_t now) {
+  Node& n = pool_[id];
+  n.last_access = now;
+  if (n.heap == kNoHeap) return;
+  std::vector<HeapEntry>& heap = heap_of(n);
+  heap[n.heap_pos].last_access = now;
+  heap_sift(heap, n.heap_pos);
+}
+
+// ---- Candidate heaps (intrusive indexed binary min-heaps). ----
+
+void RadixTree::heap_sift(std::vector<HeapEntry>& heap, std::uint32_t i) {
+  const HeapEntry e = heap[i];
+  const auto place = [&](std::uint32_t at, const HeapEntry& v) {
+    heap[at] = v;
+    pool_[v.id].heap_pos = at;
+  };
+  while (i > 0) {
+    const std::uint32_t up = (i - 1) / 2;
+    if (!older(e, heap[up])) break;
+    place(i, heap[up]);
+    i = up;
+  }
+  const auto n = static_cast<std::uint32_t>(heap.size());
+  for (;;) {
+    std::uint32_t c = 2 * i + 1;
+    if (c >= n) break;
+    if (c + 1 < n && older(heap[c + 1], heap[c])) ++c;
+    if (!older(heap[c], e)) break;
+    place(i, heap[c]);
+    i = c;
+  }
+  place(i, e);
+}
+
+void RadixTree::reindex(NodeId id) {
+  Node& n = pool_[id];
+  const std::uint8_t want = heap_rule(id, n);
+  if (n.heap == want) return;
+  unindex(id);
+  if (want == kNoHeap) return;
+  n.heap = want;
+  std::vector<HeapEntry>& heap = heap_of(n);
+  n.heap_pos = static_cast<std::uint32_t>(heap.size());
+  heap.push_back({n.last_access, id});
+  heap_sift(heap, n.heap_pos);
+}
+
+void RadixTree::unindex(NodeId id) {
+  Node& n = pool_[id];
+  if (n.heap == kNoHeap) return;
+  std::vector<HeapEntry>& heap = heap_of(n);
+  const std::uint32_t i = n.heap_pos;
+  n.heap = kNoHeap;
+  n.heap_pos = kNoPos;
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (last.id == id) return;
+  heap[i] = last;
+  pool_[last.id].heap_pos = i;
+  heap_sift(heap, i);
 }
 
 RadixTree::Match RadixTree::match(std::span<const TokenId> tokens) const {
@@ -205,7 +294,7 @@ std::size_t RadixTree::insert_into(std::span<const TokenId> tokens,
       child = add_child(cur, block, now);
       ++new_blocks;
     } else {
-      pool_[child].last_access = now;
+      set_access(child, now);
     }
     path.push_back(child);
     offset += block_size_;
@@ -215,49 +304,37 @@ std::size_t RadixTree::insert_into(std::span<const TokenId> tokens,
 }
 
 void RadixTree::touch(std::span<const NodeId> path, std::uint64_t now) {
-  for (NodeId id : path) pool_[id].last_access = now;
+  for (NodeId id : path) set_access(id, now);
 }
 
 void RadixTree::pin(std::span<const NodeId> path) {
-  for (NodeId id : path) ++pool_[id].ref_count;
+  for (NodeId id : path) {
+    if (pool_[id].ref_count++ > 0) continue;
+    ++pinned_blocks_;
+    unindex(id);
+  }
 }
 
 void RadixTree::unpin(std::span<const NodeId> path) {
   for (NodeId id : path) {
     if (pool_[id].ref_count == 0)
       throw std::logic_error("RadixTree: unpin of unpinned node");
-    --pool_[id].ref_count;
+    if (--pool_[id].ref_count > 0) continue;
+    --pinned_blocks_;
+    reindex(id);
   }
 }
 
 std::size_t RadixTree::evict_lru(std::size_t want) {
-  if (want == 0) return 0;
-  // One scan collects every current victim candidate into a min-heap of
-  // (last_access, id); std::greater pops the oldest, lowest-id first —
-  // the same victim order as the classic rescan-per-victim loop. Nothing
-  // mutates recency or pins during eviction, so heap entries only go
-  // stale one way: a popped parent that regained no children is still a
-  // leaf. Parents exposed by removing their last child are pushed as they
-  // become evictable.
-  evict_heap_.clear();
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (evictable(n)) evict_heap_.emplace_back(n.last_access, id);
-  }
-  const auto cmp = std::greater<>{};
-  std::make_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
   std::size_t evicted = 0;
-  while (evicted < want && !evict_heap_.empty()) {
-    std::pop_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-    const NodeId victim = evict_heap_.back().second;
-    evict_heap_.pop_back();
-    const NodeId parent = pool_[victim].parent;
-    remove_node(victim);
+  while (evicted < want) {
+    const HeapEntry* victim = nullptr;
+    for (const TierIndex& t : tiers_)
+      if (!t.leaves.empty() && (!victim || older(t.leaves.front(), *victim)))
+        victim = &t.leaves.front();
+    if (!victim) break;
+    remove_node(victim->id);
     ++evicted;
-    if (parent != 0 && evictable(pool_[parent])) {
-      evict_heap_.emplace_back(pool_[parent].last_access, parent);
-      std::push_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-    }
   }
   return evicted;
 }
@@ -270,11 +347,40 @@ std::string RadixTree::check_invariants() const {
     return "root: missing, dead, or parented";
 
   std::size_t alive = 0;
+  std::size_t pinned = 0;
+  std::size_t tier_blocks[kTiers] = {};
+  std::size_t members = 0;
   for (NodeId id = 0; id < pool_.slots(); ++id) {
     const Node& n = pool_[id];
+    // Candidate-index membership: exactly the heap its rule names (none
+    // for the root or a dead slot), at the stored position, under the
+    // node's current key.
+    if (n.tier >= kTiers) return fail(id, "tier out of range");
+    if (n.heap != heap_rule(id, n))
+      return fail(id, "candidate heap membership disagrees with its rule");
+    if (n.heap != kNoHeap) {
+      const TierIndex& t = tiers_[n.tier];
+      const auto& heap = n.heap == kLeafHeap ? t.leaves : t.frontier;
+      if (n.heap_pos >= heap.size() || heap[n.heap_pos].id != id)
+        return fail(id, "heap position does not point back at the node");
+      if (heap[n.heap_pos].last_access != n.last_access)
+        return fail(id, "heap entry holds a stale recency key");
+      ++members;
+    } else if (n.heap_pos != kNoPos) {
+      return fail(id, "heap position set outside any heap");
+    }
     if (!n.alive) continue;
+    std::uint32_t per_tier[kTiers] = {};
+    for (NodeId c : n.children)
+      if (c < pool_.slots() && pool_[c].tier < kTiers)
+        ++per_tier[pool_[c].tier];
+    if (!std::equal(std::begin(per_tier), std::end(per_tier),
+                    std::begin(n.tier_children)))
+      return fail(id, "per-tier child counts out of sync");
     if (id != 0) {
       ++alive;
+      pinned += (n.ref_count > 0);
+      ++tier_blocks[n.tier];
       const auto blk = block_span(id);
       if (blk.size() != block_size_) return fail(id, "block size mismatch");
       if (n.block_hash != ops::hash(blk.data(), blk.size()))
@@ -326,6 +432,24 @@ std::string RadixTree::check_invariants() const {
   if (alive != num_blocks_) return "num_blocks out of sync with alive nodes";
   if (pool_.in_use() != alive + 1)  // +1: the root occupies a slot
     return "arena in_use out of sync with alive nodes";
+  if (pinned != pinned_blocks_)
+    return "pinned_blocks counter out of sync with pinned nodes";
+  std::size_t entries = 0;
+  for (std::size_t tier = 0; tier < kTiers; ++tier) {
+    const TierIndex& t = tiers_[tier];
+    if (t.blocks != tier_blocks[tier])
+      return "tier " + std::to_string(tier) +
+             ": block counter out of sync with its nodes";
+    for (const auto* heap : {&t.leaves, &t.frontier})
+      for (std::size_t i = 1; i < heap->size(); ++i)
+        if (older((*heap)[i], (*heap)[(i - 1) / 2]))
+          return "tier " + std::to_string(tier) + ": heap order violated";
+    entries += t.leaves.size() + t.frontier.size();
+  }
+  // Every member points back at its own entry, so equal totals rule out
+  // stale or duplicate entries.
+  if (entries != members)
+    return "candidate heaps hold entries for non-member nodes";
   return std::string();
 }
 
@@ -336,79 +460,29 @@ std::uint64_t RadixTree::total_ref_count() const {
   return n;
 }
 
-std::size_t RadixTree::pinned_blocks() const {
-  std::size_t n = 0;
-  for (NodeId id = 1; id < pool_.slots(); ++id)
-    if (pool_[id].alive && pool_[id].ref_count > 0) ++n;
-  return n;
-}
-
 // ---- Tier operations. ----
 
-std::size_t RadixTree::tier_blocks(std::uint8_t tier) const {
-  std::size_t n = 0;
-  for (NodeId id = 1; id < pool_.slots(); ++id)
-    if (pool_[id].alive && pool_[id].tier == tier) ++n;
-  return n;
-}
-
 std::size_t RadixTree::demote_lru(std::size_t want, std::uint8_t from_tier) {
-  if (want == 0) return 0;
-  // Same single-scan min-heap as evict_lru, but over unpinned blocks of
-  // one tier and with no structural change. A node with a same-tier child
-  // must not demote before that child (tier monotonicity down paths);
-  // recency monotonicity means the child is at least as old, but one
-  // insert stamps a whole path with one clock value, so parent and child
-  // can tie and the id tiebreak can order them either way. Popped nodes
-  // that still have a same-tier child are therefore skipped — a deepest
-  // minimal-age node always qualifies, so a caller looping want=1 drains
-  // the tier in exact oldest-first order anyway.
-  evict_heap_.clear();
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (n.alive && n.ref_count == 0 && n.tier == from_tier)
-      evict_heap_.emplace_back(n.last_access, id);
-  }
-  const auto cmp = std::greater<>{};
-  std::make_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
+  if (from_tier + 1u >= kTiers) return 0;
+  const TierIndex& t = tiers_[from_tier];
   std::size_t demoted = 0;
-  while (demoted < want && !evict_heap_.empty()) {
-    std::pop_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-    const NodeId victim = evict_heap_.back().second;
-    evict_heap_.pop_back();
-    const Node& n = pool_[victim];
-    bool blocked = false;
-    for (NodeId c : n.children) blocked |= (pool_[c].tier == from_tier);
-    if (blocked) continue;
-    pool_[victim].tier = from_tier + 1;
+  while (demoted < want && (!t.leaves.empty() || !t.frontier.empty())) {
+    const bool leaf =
+        t.frontier.empty() ||
+        (!t.leaves.empty() && older(t.leaves.front(), t.frontier.front()));
+    set_tier((leaf ? t.leaves : t.frontier).front().id, from_tier + 1);
     ++demoted;
   }
   return demoted;
 }
 
 std::size_t RadixTree::evict_lru_tier(std::size_t want, std::uint8_t tier) {
-  if (want == 0) return 0;
-  evict_heap_.clear();
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (evictable(n) && n.tier == tier)
-      evict_heap_.emplace_back(n.last_access, id);
-  }
-  const auto cmp = std::greater<>{};
-  std::make_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
+  if (tier >= kTiers) return 0;
+  const std::vector<HeapEntry>& leaves = tiers_[tier].leaves;
   std::size_t evicted = 0;
-  while (evicted < want && !evict_heap_.empty()) {
-    std::pop_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-    const NodeId victim = evict_heap_.back().second;
-    evict_heap_.pop_back();
-    const NodeId parent = pool_[victim].parent;
-    remove_node(victim);
+  while (evicted < want && !leaves.empty()) {
+    remove_node(leaves.front().id);
     ++evicted;
-    if (parent != 0 && evictable(pool_[parent]) &&
-        pool_[parent].tier == tier) {
-      evict_heap_.emplace_back(pool_[parent].last_access, parent);
-      std::push_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-    }
   }
   return evicted;
 }
@@ -441,7 +515,7 @@ void RadixTree::count_tiered(std::span<const NodeId> path, std::size_t& host,
 }
 
 void RadixTree::promote_path(std::span<const NodeId> path) {
-  for (NodeId id : path) pool_[id].tier = 0;
+  for (NodeId id : path) set_tier(id, 0);
 }
 
 void RadixTree::hottest_leaves(std::size_t max_leaves,

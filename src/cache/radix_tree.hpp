@@ -14,25 +14,25 @@
 // without touching the heap. Every node caches the 64-bit token_ops hash
 // of its block; child lookup compares hashes before tokens, and nodes
 // whose fan-out reaches kIndexMinFanout carry an open-addressed child
-// table that turns find_child into O(1) probes. Batch eviction is one
-// scan plus a min-heap instead of a rescan per victim.
+// table that turns find_child into O(1) probes. Eviction and demotion
+// never scan the arena: per tier, two intrusive indexed min-heaps keyed
+// on (last_access, id) hold the current candidates and are updated as
+// the tree changes, so each victim costs O(log n).
 //
 // Tiers (DESIGN.md §13): each node carries a tier tag — 0 = GPU, 1 =
 // host DRAM, 2 = disk. A flat cache leaves every node at tier 0 and the
 // tier machinery is never touched. The tree maintains tier monotonicity
-// down every path (child.tier >= parent.tier): demotion always takes the
-// oldest unpinned block of a tier first, and recency is monotone down
-// paths (a child is strictly older than its parent because touches cover
-// root-down prefixes and clock stamps are unique), so a node's same-tier
-// children always demote before it; promotion covers root-down path
-// prefixes only. Pinned nodes are never demoted, which with promotion-
-// before-pin gives "pinned => GPU-resident" as a walked invariant.
+// down every path (child.tier >= parent.tier): demotion takes the oldest
+// unpinned block of a tier that has no child left in that tier, so a
+// node's same-tier children always demote before it; promotion covers
+// root-down path prefixes only. Pinned nodes are never demoted, which
+// with promotion-before-pin gives "pinned => GPU-resident" as a walked
+// invariant.
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tokenizer/tokenizer.hpp"
@@ -94,16 +94,17 @@ class RadixTree {
   void pin(std::span<const NodeId> path);
   void unpin(std::span<const NodeId> path);
 
-  /// Evict up to `want` least-recently-used, unpinned leaves. Returns the
-  /// number actually evicted (may be fewer if everything is pinned or has
-  /// children). One scan over the table builds a min-heap of victims;
-  /// parents exposed as new leaves join the heap as their last child
-  /// goes, so the victim sequence is identical to the classic
-  /// rescan-per-victim loop (ties broken toward the lower node id).
+  /// Evict up to `want` least-recently-used, unpinned leaves, in any
+  /// tier. Returns the number actually evicted (may be fewer if
+  /// everything is pinned or has children). Each victim is the oldest
+  /// top of the per-tier leaf heaps (ties broken toward the lower node
+  /// id); parents exposed as new leaves join their heap as their last
+  /// child goes, so one call with `want` = n takes the same victims, in
+  /// the same order, as n calls with `want` = 1. O(victims · log n).
   std::size_t evict_lru(std::size_t want);
 
-  /// Total pinned nodes (diagnostics / tests).
-  std::size_t pinned_blocks() const;
+  /// Total pinned nodes (diagnostics / gauges; O(1) counter).
+  std::size_t pinned_blocks() const { return pinned_blocks_; }
 
   /// Sum of ref_count over all alive nodes — the number of (lease, node)
   /// pin edges outstanding. PrefixCache cross-checks this against its own
@@ -115,21 +116,27 @@ class RadixTree {
   /// Tier of one alive node (0 = GPU).
   std::uint8_t node_tier(NodeId id) const { return pool_[id].tier; }
 
-  /// Alive blocks currently at `tier` (ledger walk; O(slots)).
-  std::size_t tier_blocks(std::uint8_t tier) const;
+  /// Alive blocks currently at `tier` (O(1) counter).
+  std::size_t tier_blocks(std::uint8_t tier) const {
+    return tier < kTiers ? tiers_[tier].blocks : 0;
+  }
 
   /// Demote up to `want` oldest unpinned blocks from `from_tier` to
-  /// `from_tier + 1`. No structural change; returns blocks demoted.
-  /// Oldest-first order makes this tier-monotone by construction: an
-  /// unpinned node's same-tier children are strictly older (and unpinned,
-  /// since pins are monotone up paths), so they demote first.
+  /// `from_tier + 1`. No structural change; returns blocks demoted (0
+  /// when `from_tier` is the bottom tier). Each step takes the oldest
+  /// unpinned node of the tier that has no child in that tier (the older
+  /// of the tier's leaf and frontier heap tops), so demotion is
+  /// tier-monotone by construction even when one insert stamped parent
+  /// and child with the same clock value; a parent becomes a candidate
+  /// once its last same-tier child goes down. One call with `want` = n
+  /// is exactly n calls with `want` = 1. O(victims · log n).
   std::size_t demote_lru(std::size_t want, std::uint8_t from_tier);
 
   /// Evict up to `want` LRU unpinned leaves restricted to `tier` (the
-  /// bottom tier sheds blocks for real; upper tiers demote instead).
-  /// Parents exposed as leaves join the heap only if they sit at `tier`,
-  /// so one call with `want` = n takes the same victims, in the same
-  /// order, as n calls with `want` = 1.
+  /// bottom tier sheds blocks for real; upper tiers demote instead):
+  /// pops the tier's leaf heap, which exposed parents join only if they
+  /// sit at `tier`. One call with `want` = n takes the same victims, in
+  /// the same order, as n calls with `want` = 1. O(victims · log n).
   std::size_t evict_lru_tier(std::size_t want, std::uint8_t tier);
 
   /// Read-only walk of the longest cached prefix (exactly match_tokens'
@@ -173,7 +180,11 @@ class RadixTree {
   /// accounting, and the path-prefix monotonicity invariants — a node's
   /// parent is always at least as recently used and at least as pinned as
   /// the node, because touches and pins only ever cover root-down path
-  /// prefixes. Returns an empty string when every invariant holds, else a
+  /// prefixes. It also re-derives the candidate indexes from a slot walk:
+  /// per-tier child counts, the pinned and per-tier block counters, heap
+  /// order, positions that point back at their node, and membership in a
+  /// leaf or frontier heap exactly when the node meets that heap's rule.
+  /// Returns an empty string when every invariant holds, else a
   /// description of the first violation.
   std::string check_invariants() const;
 
@@ -188,6 +199,10 @@ class RadixTree {
     std::size_t size = 0;
   };
 
+  static constexpr std::size_t kTiers = 3;
+  static constexpr std::uint32_t kNoPos = UINT32_MAX;
+  enum : std::uint8_t { kNoHeap, kLeafHeap, kFrontierHeap };
+
   struct Node {
     std::uint64_t block_hash = 0;     // token_ops::hash of the block
     std::uint64_t last_access = 0;
@@ -196,8 +211,31 @@ class RadixTree {
     NodeId parent = kNoNode;
     std::uint32_t pos_in_parent = 0;  // index in parent's children vector
     std::uint32_t ref_count = 0;
+    std::uint32_t tier_children[kTiers] = {};  // alive children per tier
+    std::uint32_t heap_pos = kNoPos;  // slot in the heap named by `heap`
     std::uint8_t tier = 0;            // 0 = GPU, 1 = host, 2 = disk
+    std::uint8_t heap = kNoHeap;      // which heap of its tier holds it
     bool alive = false;
+  };
+
+  // Candidate indexes of one tier: two min-heaps keyed on (last_access,
+  // id), each entry carrying its key and each member node storing its
+  // own position. The root is never a member, and a node is in at most
+  // one heap. Storage capacity is kept across uses.
+  //   leaves:   alive, unpinned, no children (evict_lru, evict_lru_tier)
+  //   frontier: alive, unpinned, with children but none in this tier
+  // Together they hold exactly the tier's demotion candidates (unpinned,
+  // no child in the tier), so demote_lru takes the older of the two
+  // tops. In a flat tree every child shares its parent's tier and the
+  // frontier heaps stay empty.
+  struct HeapEntry {
+    std::uint64_t last_access;
+    NodeId id;
+  };
+  struct TierIndex {
+    std::vector<HeapEntry> leaves;
+    std::vector<HeapEntry> frontier;
+    std::size_t blocks = 0;  // alive nodes at this tier
   };
 
   // Fan-out at which a node gains a child hash table.
@@ -212,14 +250,35 @@ class RadixTree {
     return {base, block_size_};
   }
 
-  bool evictable(const Node& n) const {
-    return n.alive && n.ref_count == 0 && n.children.empty();
+  /// The heap a node belongs in under the TierIndex rules.
+  static std::uint8_t heap_rule(NodeId id, const Node& n) {
+    if (id == 0 || !n.alive || n.ref_count > 0) return kNoHeap;
+    if (n.children.empty()) return kLeafHeap;
+    return n.tier_children[n.tier] == 0 ? kFrontierHeap : kNoHeap;
   }
 
   NodeId find_child(NodeId node, std::span<const TokenId> block) const;
   NodeId add_child(NodeId node, std::span<const TokenId> block,
                    std::uint64_t now);
   void remove_node(NodeId id);
+  void set_tier(NodeId id, std::uint8_t tier);
+  void set_access(NodeId id, std::uint64_t now);
+
+  // ---- Candidate heaps. ----
+  static bool older(const HeapEntry& a, const HeapEntry& b) {
+    return a.last_access != b.last_access ? a.last_access < b.last_access
+                                          : a.id < b.id;
+  }
+  std::vector<HeapEntry>& heap_of(const Node& n) {
+    TierIndex& t = tiers_[n.tier];
+    return n.heap == kLeafHeap ? t.leaves : t.frontier;
+  }
+  void heap_sift(std::vector<HeapEntry>& heap, std::uint32_t i);
+  /// Bring a node's heap membership in line with heap_rule. A member
+  /// always sits in a heap of its current tier, so a tier change leaves
+  /// the old tier's heap first (unindex).
+  void reindex(NodeId id);
+  void unindex(NodeId id);
 
   void index_insert(ChildIndex& ix, NodeId id);
   void index_erase(ChildIndex& ix, NodeId id);
@@ -229,8 +288,8 @@ class RadixTree {
   util::SlotPool<Node> pool_;    // slot 0 is the root
   std::vector<std::unique_ptr<TokenId[]>> block_slabs_;
   std::size_t num_blocks_ = 0;
-  // Scratch for evict_lru: (last_access, id) min-heap, capacity reused.
-  std::vector<std::pair<std::uint64_t, NodeId>> evict_heap_;
+  std::size_t pinned_blocks_ = 0;  // alive non-root nodes with ref_count > 0
+  TierIndex tiers_[kTiers];
 };
 
 }  // namespace llmq::cache

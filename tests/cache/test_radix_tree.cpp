@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <numeric>
+#include <random>
 
 namespace llmq::cache {
 namespace {
@@ -178,13 +182,14 @@ TEST(RadixTree, HighFanoutEvictionKeepsIndexCoherent) {
 }
 
 TEST(RadixTree, BatchEvictMatchesOneByOneEviction) {
-  // The single-scan min-heap batch eviction must take exactly the victims
-  // the classic rescan-per-victim loop would: build two identical trees,
-  // evict k in one batch from one and k times singly from the other, and
-  // compare the surviving match sets. The tiered input runs the same
-  // check on evict_lru_tier over the host tier of a tree whose oldest
-  // blocks were demoted (some further, to disk), so exposed parents join
-  // the heap only when they sit at the evicted tier.
+  // Batch eviction must take exactly the victims the classic
+  // rescan-per-victim loop would: build two identical trees, evict k in
+  // one batch from one and k times singly from the other, and compare
+  // the surviving match sets. The tiered input runs the same check on
+  // evict_lru_tier over the host tier of a tree whose oldest blocks were
+  // demoted (some further, to disk), so exposed parents join the heap
+  // only when they sit at the evicted tier. Demotion gets the same
+  // treatment: demote_lru(k, t) must equal k calls of demote_lru(1, t).
   auto build = [](bool tiered) {
     RadixTree t(2);
     // Mixed topology: shared chains + wide fan-out. Timestamps must be
@@ -231,6 +236,250 @@ TEST(RadixTree, BatchEvictMatchesOneByOneEviction) {
           << "tiered=" << tiered << " k=" << k;
       EXPECT_EQ(batch.check_invariants(), "");
       EXPECT_EQ(single.check_invariants(), "");
+    }
+    for (std::uint8_t from : {0, 1}) {
+      for (std::size_t k : {1u, 3u, 7u, 20u, 100u}) {
+        RadixTree batch = build(tiered);
+        RadixTree single = build(tiered);
+        const std::size_t got = batch.demote_lru(k, from);
+        std::size_t got_single = 0;
+        for (std::size_t i = 0; i < k; ++i)
+          got_single += single.demote_lru(1, from);
+        EXPECT_EQ(got, got_single)
+            << "tiered=" << tiered << " from=" << int(from) << " k=" << k;
+        EXPECT_EQ(survivors(batch), survivors(single))
+            << "tiered=" << tiered << " from=" << int(from) << " k=" << k;
+        EXPECT_EQ(batch.check_invariants(), "");
+        EXPECT_EQ(single.check_invariants(), "");
+      }
+    }
+  }
+}
+
+// Brute-force reference for the indexed candidate heaps: a shadow of the
+// tree's shape, recency, pins and tiers, plus the scan-plus-heap
+// eviction and demotion algorithms the heaps replaced.
+struct RefTree {
+  struct Node {
+    NodeId parent = 0;             // 0 = the root
+    tokenizer::TokenSeq tokens;    // root-down prefix ending at this block
+    std::uint64_t last_access = 0;
+    std::uint32_t ref_count = 0;
+    std::uint8_t tier = 0;
+  };
+  std::size_t block;
+  std::map<NodeId, Node> nodes;
+
+  bool has_child(NodeId id, int tier = -1) const {
+    for (const auto& [c, n] : nodes)
+      if (n.parent == id && (tier < 0 || n.tier == tier)) return true;
+    return false;
+  }
+
+  std::vector<NodeId> path_to(NodeId id) const {
+    std::vector<NodeId> path;
+    for (NodeId cur = id; cur != 0; cur = nodes.at(cur).parent)
+      path.push_back(cur);
+    std::reverse(path.begin(), path.end());
+    return path;
+  }
+
+  // Mirror an insert: nodes on `path` the reference has not seen are new.
+  std::size_t on_insert(const tokenizer::TokenSeq& tokens,
+                        const std::vector<NodeId>& path, std::uint64_t now) {
+    std::size_t fresh = 0;
+    NodeId parent = 0;
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      auto [it, is_new] = nodes.try_emplace(path[i]);
+      if (is_new) {
+        ++fresh;
+        it->second.parent = parent;
+        it->second.tokens.assign(tokens.begin(),
+                                 tokens.begin() + (i + 1) * block);
+      }
+      it->second.last_access = now;
+      parent = path[i];
+    }
+    return fresh;
+  }
+
+  // One scan collects every evictable node (optionally of one tier) into
+  // a (last_access, id) min-heap; parents join as eviction exposes them.
+  std::vector<NodeId> evict(std::size_t want, int tier) {
+    const auto evictable = [&](NodeId id) {
+      const Node& n = nodes.at(id);
+      return n.ref_count == 0 && !has_child(id) &&
+             (tier < 0 || n.tier == tier);
+    };
+    std::vector<std::pair<std::uint64_t, NodeId>> heap;
+    for (const auto& [id, n] : nodes)
+      if (evictable(id)) heap.emplace_back(n.last_access, id);
+    const auto cmp = std::greater<>{};
+    std::make_heap(heap.begin(), heap.end(), cmp);
+    std::vector<NodeId> victims;
+    while (victims.size() < want && !heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), cmp);
+      const NodeId victim = heap.back().second;
+      heap.pop_back();
+      const NodeId parent = nodes.at(victim).parent;
+      nodes.erase(victim);
+      victims.push_back(victim);
+      if (parent != 0 && evictable(parent)) {
+        heap.emplace_back(nodes.at(parent).last_access, parent);
+        std::push_heap(heap.begin(), heap.end(), cmp);
+      }
+    }
+    return victims;
+  }
+
+  // demote_lru(1, from) as a scan: every unpinned block of the tier into
+  // a min-heap, popped until one has no child in the same tier.
+  NodeId demote_one(std::uint8_t from) {
+    std::vector<std::pair<std::uint64_t, NodeId>> heap;
+    for (const auto& [id, n] : nodes)
+      if (n.ref_count == 0 && n.tier == from)
+        heap.emplace_back(n.last_access, id);
+    const auto cmp = std::greater<>{};
+    std::make_heap(heap.begin(), heap.end(), cmp);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), cmp);
+      const NodeId victim = heap.back().second;
+      heap.pop_back();
+      if (has_child(victim, from)) continue;
+      nodes.at(victim).tier = from + 1;
+      return victim;
+    }
+    return kNoNode;
+  }
+
+  // First disagreement between the tree and the reference, or "".
+  std::string diff(const RadixTree& t) const {
+    if (const std::string inv = t.check_invariants(); !inv.empty())
+      return "invariants: " + inv;
+    if (t.num_blocks() != nodes.size()) return "num_blocks differs";
+    std::size_t pinned = 0, tier_blocks[3] = {};
+    for (const auto& [id, n] : nodes) {
+      std::vector<NodeId> path;
+      t.match_into(n.tokens, path);
+      if (path.size() != n.tokens.size() / block || path.back() != id)
+        return "node " + std::to_string(id) + " missing";
+      if (t.node_tier(id) != n.tier)
+        return "node " + std::to_string(id) + " in the wrong tier";
+      pinned += n.ref_count > 0;
+      ++tier_blocks[n.tier];
+    }
+    if (t.pinned_blocks() != pinned) return "pinned_blocks differs";
+    for (std::uint8_t tier = 0; tier < 3; ++tier)
+      if (t.tier_blocks(tier) != tier_blocks[tier])
+        return "tier_blocks(" + std::to_string(tier) + ") differs";
+    return "";
+  }
+};
+
+TEST(RadixTree, IndexedEvictionMatchesScanReference) {
+  // Seeded random mixes of every operation that moves a candidate index.
+  // After each step the tree must hold exactly the reference's nodes in
+  // the same tiers; batch operations run either as one call or as
+  // single-victim calls checked after each victim, so both the victim
+  // set and the victim order are pinned. Pins and inserts promote their
+  // matched prefix first, as PrefixCache does, so the tier invariants
+  // hold throughout.
+  constexpr std::size_t kBlock = 2;
+  for (int tiers = 1; tiers <= 3; ++tiers) {
+    for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+      std::mt19937 rng(seed * 7919u + static_cast<std::uint32_t>(tiers));
+      const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+      };
+      RadixTree t(kBlock);
+      RefTree ref{kBlock, {}};
+      std::vector<std::vector<NodeId>> pinned;
+      std::uint64_t now = 1;
+      const auto random_node = [&] {
+        auto it = ref.nodes.begin();
+        std::advance(it, pick(ref.nodes.size()));
+        return it->first;
+      };
+      const auto promote = [&](const std::vector<NodeId>& path) {
+        t.promote_path(path);
+        for (NodeId id : path) ref.nodes.at(id).tier = 0;
+      };
+      for (int step = 0; step < 400; ++step) {
+        now += pick(2);  // equal stamps exercise the id tiebreak
+        const std::size_t op = pick(8);
+        const std::size_t k = 1 + pick(4);
+        const bool one_by_one = pick(2) == 0;
+        std::string what;
+        if (op == 0 || ref.nodes.empty()) {
+          tokenizer::TokenSeq toks((1 + pick(4)) * kBlock);
+          for (auto& tok : toks) tok = static_cast<TokenId>(pick(3));
+          std::vector<NodeId> matched;
+          t.match_into(toks, matched);
+          promote(matched);
+          const std::size_t cap = pick(3) == 0 ? pick(3) : SIZE_MAX;
+          const auto ins = t.insert(toks, now, cap);
+          ASSERT_EQ(ref.on_insert(toks, ins.path, now), ins.new_blocks);
+          what = "insert";
+        } else if (op == 1) {
+          const auto path = ref.path_to(random_node());
+          t.touch(path, now);
+          for (NodeId id : path) ref.nodes.at(id).last_access = now;
+          what = "touch";
+        } else if (op == 2) {
+          const auto path = ref.path_to(random_node());
+          promote(path);
+          t.pin(path);
+          for (NodeId id : path) ++ref.nodes.at(id).ref_count;
+          pinned.push_back(path);
+          what = "pin";
+        } else if (op == 3 && !pinned.empty()) {
+          const std::size_t i = pick(pinned.size());
+          t.unpin(pinned[i]);
+          for (NodeId id : pinned[i]) --ref.nodes.at(id).ref_count;
+          pinned.erase(pinned.begin() + static_cast<std::ptrdiff_t>(i));
+          what = "unpin";
+        } else if (op == 4 || op == 5) {
+          // evict_lru across tiers, or evict_lru_tier on one tier.
+          const int tier = op == 4 ? -1 : static_cast<int>(pick(tiers));
+          const auto evict = [&](std::size_t n) {
+            if (tier < 0) return t.evict_lru(n);
+            return t.evict_lru_tier(n, static_cast<std::uint8_t>(tier));
+          };
+          what = tier < 0 ? "evict_lru" : "evict_lru_tier";
+          if (one_by_one) {
+            for (std::size_t i = 0; i < k; ++i) {
+              ASSERT_EQ(evict(1), ref.evict(1, tier).size());
+              ASSERT_EQ(ref.diff(t), "") << what << " seed " << seed
+                                         << " tiers " << tiers << " step "
+                                         << step << " victim " << i;
+            }
+          } else {
+            ASSERT_EQ(evict(k), ref.evict(k, tier).size());
+          }
+        } else if (op == 6 && tiers > 1) {
+          const auto from = static_cast<std::uint8_t>(pick(tiers - 1));
+          what = "demote_lru";
+          if (one_by_one) {
+            for (std::size_t i = 0; i < k; ++i) {
+              const bool ref_moved = ref.demote_one(from) != kNoNode;
+              ASSERT_EQ(t.demote_lru(1, from), ref_moved ? 1u : 0u);
+              ASSERT_EQ(ref.diff(t), "") << what << " seed " << seed
+                                         << " tiers " << tiers << " step "
+                                         << step << " victim " << i;
+            }
+          } else {
+            std::size_t ref_moved = 0;
+            while (ref_moved < k && ref.demote_one(from) != kNoNode)
+              ++ref_moved;
+            ASSERT_EQ(t.demote_lru(k, from), ref_moved);
+          }
+        } else if (op == 7) {
+          promote(ref.path_to(random_node()));
+          what = "promote_path";
+        }
+        ASSERT_EQ(ref.diff(t), "") << what << " seed " << seed << " tiers "
+                                   << tiers << " step " << step;
+      }
     }
   }
 }
