@@ -12,7 +12,7 @@
 #include "core/refine.hpp"
 #include "core/windowed.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
 
@@ -22,10 +22,7 @@ double hit_fraction(const table::Table& t, const core::Ordering& o) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header("Ablations — GGR design choices", opt);
-
+int ablation_ggr(const BenchOptions& opt, JsonReport&) {
   // (d) policy ladder across datasets.
   {
     util::print_banner("policy ladder (squared-length hit fraction)");
@@ -43,13 +40,13 @@ int main(int argc, char** argv) {
       go_nofd.use_fds = false;
       tp.add_row(
           {d.name,
-           bench::pct(hit_fraction(d.table, core::original_ordering(d.table))),
-           bench::pct(
+           pct(hit_fraction(d.table, core::original_ordering(d.table))),
+           pct(
                hit_fraction(d.table, core::sorted_original_fields(d.table))),
-           bench::pct(
+           pct(
                hit_fraction(d.table, core::stats_fixed_ordering(d.table))),
-           bench::pct(hit_fraction(d.table, core::ggr(d.table, go_nofd).ordering)),
-           bench::pct(
+           pct(hit_fraction(d.table, core::ggr(d.table, go_nofd).ordering)),
+           pct(
                hit_fraction(d.table, core::ggr(d.table, d.fds, go).ordering))});
     }
     tp.print();
@@ -74,9 +71,9 @@ int main(int argc, char** argv) {
         const auto no_fd = core::ggr(d.table, go_nofd);
         const auto with_fd = core::ggr(d.table, d.fds, go);
         tp.add_row({std::to_string(rd), std::to_string(cd),
-                    bench::pct(hit_fraction(d.table, no_fd.ordering)),
+                    pct(hit_fraction(d.table, no_fd.ordering)),
                     util::fmt(no_fd.solve_seconds * 1e3, 1),
-                    bench::pct(hit_fraction(d.table, with_fd.ordering)),
+                    pct(hit_fraction(d.table, with_fd.ordering)),
                     util::fmt(with_fd.solve_seconds * 1e3, 1),
                     std::to_string(with_fd.counters.fallbacks)});
       }
@@ -100,7 +97,7 @@ int main(int argc, char** argv) {
       go.hitcount_threshold = thr;
       const auto res = core::ggr(d.table, d.fds, go);
       tp.add_row({thr == 0.0 ? "off" : util::fmt(thr, 0),
-                  bench::pct(hit_fraction(d.table, res.ordering)),
+                  pct(hit_fraction(d.table, res.ordering)),
                   util::fmt(res.solve_seconds * 1e3, 1),
                   std::to_string(res.counters.recursion_nodes)});
     }
@@ -122,8 +119,8 @@ int main(int argc, char** argv) {
       go.max_col_depth = 2;
       const auto base = core::ggr(d.table, d.fds, go);
       const auto refined = core::refine_ordering(d.table, base.ordering, {});
-      tp.add_row({d.name, bench::pct(hit_fraction(d.table, base.ordering)),
-                  bench::pct(hit_fraction(d.table, refined.ordering)),
+      tp.add_row({d.name, pct(hit_fraction(d.table, base.ordering)),
+                  pct(hit_fraction(d.table, refined.ordering)),
                   std::to_string(refined.moves_applied),
                   util::fmt(refined.seconds * 1e3, 1)});
     }
@@ -146,7 +143,7 @@ int main(int argc, char** argv) {
       wo.ggr.max_col_depth = 2;
       const auto res = core::windowed_ggr(d.table, d.fds, wo);
       tp.add_row({window == 0 ? "full table" : std::to_string(window),
-                  bench::pct(hit_fraction(d.table, res.ordering)),
+                  pct(hit_fraction(d.table, res.ordering)),
                   std::to_string(res.windows),
                   util::fmt(res.solve_seconds * 1e3, 1)});
     }
@@ -168,8 +165,10 @@ int main(int argc, char** argv) {
     const auto squared = core::ggr(d.table, d.fds, go);
     const auto lit = core::ggr(d.table, d.fds, literal);
     std::printf("squared (ours): %s   literal (Algorithm 1 line 6): %s\n",
-                bench::pct(hit_fraction(d.table, squared.ordering)).c_str(),
-                bench::pct(hit_fraction(d.table, lit.ordering)).c_str());
+                pct(hit_fraction(d.table, squared.ordering)).c_str(),
+                pct(hit_fraction(d.table, lit.ordering)).c_str());
   }
   return 0;
 }
+
+}  // namespace llmq::bench

@@ -6,13 +6,9 @@
 
 #include "bench_common.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header("Ablations — serving engine", opt);
-  bench::JsonReport json("bench_ablation_serving", opt);
-
+int ablation_serving(const BenchOptions& opt, JsonReport& json) {
   const char* key = "movies";
   data::GenOptions g;
   g.n_rows = std::min<std::size_t>(opt.rows_for(key), 2000);
@@ -34,9 +30,9 @@ int main(int argc, char** argv) {
       cfg_g.scale_kv_pool(base_kvf * mult);
       const auto ro = query::run_query(d, spec, cfg_o);
       const auto rg = query::run_query(d, spec, cfg_g);
-      tp.add_row({util::fmt(mult, 1) + "x", bench::pct(ro.overall_phr()),
-                  bench::pct(rg.overall_phr()), bench::secs(ro.total_seconds),
-                  bench::secs(rg.total_seconds),
+      tp.add_row({util::fmt(mult, 1) + "x", pct(ro.overall_phr()),
+                  pct(rg.overall_phr()), secs(ro.total_seconds),
+                  secs(rg.total_seconds),
                   query::format_speedup(ro.total_seconds / rg.total_seconds)});
       json.add("kv_pool_sweep", {{"pool_mult", mult},
                                  {"original_phr", ro.overall_phr()},
@@ -61,8 +57,8 @@ int main(int argc, char** argv) {
       cfg_g.scale_kv_pool(base_kvf);
       const auto ro = query::run_query(d, spec, cfg_o);
       const auto rg = query::run_query(d, spec, cfg_g);
-      tp.add_row({std::to_string(bs), bench::secs(ro.total_seconds),
-                  bench::secs(rg.total_seconds),
+      tp.add_row({std::to_string(bs), secs(ro.total_seconds),
+                  secs(rg.total_seconds),
                   query::format_speedup(ro.total_seconds / rg.total_seconds),
                   util::fmt(rg.stages[0].engine.mean_batch_size(), 1)});
       json.add("batch_size_sweep", {{"max_batch", bs},
@@ -81,14 +77,15 @@ int main(int argc, char** argv) {
       cfg.engine.block_size = block;
       cfg.scale_kv_pool(base_kvf);
       const auto r = query::run_query(d, spec, cfg);
-      tp.add_row({std::to_string(block), bench::pct(r.overall_phr()),
-                  bench::secs(r.total_seconds)});
+      tp.add_row({std::to_string(block), pct(r.overall_phr()),
+                  secs(r.total_seconds)});
       json.add("block_size_sweep", {{"block_tokens", block},
                                     {"ggr_phr", r.overall_phr()},
                                     {"ggr_s", r.total_seconds}});
     }
     tp.print();
   }
-  json.write();
   return 0;
 }
+
+}  // namespace llmq::bench

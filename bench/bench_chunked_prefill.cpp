@@ -16,8 +16,6 @@
 //      once — near-flat scaling across depths pins the per-class FIFO
 //      admission queues (the old linear-scan pick + mid-deque erase was
 //      O(P^2) per step under backlog).
-//
-// Use --json <path> for machine-readable results.
 
 #include <chrono>
 #include <string>
@@ -27,7 +25,7 @@
 #include "obs/export.hpp"
 #include "serve/online.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
 
@@ -102,8 +100,6 @@ serve::OnlineConfig serving_config() {
   return cfg;
 }
 
-std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
-
 // ---- deep-backlog admission microbench ----
 
 llm::ModelSpec tiny_model() {
@@ -153,11 +149,7 @@ double backlog_us_per_request(std::size_t depth) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header(
-      "Chunked prefill — decode stalls, tails, and admission scaling", opt);
-  bench::JsonReport json("bench_chunked_prefill", opt);
+int chunked_prefill(const BenchOptions& opt, JsonReport& json) {
   bool all_conserved = true;
 
   const std::size_t n_rows = std::max<std::size_t>(
@@ -185,10 +177,8 @@ int main(int argc, char** argv) {
         serve::OnlineConfig cfg = serving_config();
         cfg.engine.prefill_chunk_tokens = chunk;
         const auto r = serve::run_online(t, fds, arrivals, cfg);
-        const auto& ic = r.per_class[static_cast<std::size_t>(
-            llm::PriorityClass::Interactive)];
-        const auto& bc =
-            r.per_class[static_cast<std::size_t>(llm::PriorityClass::Batch)];
+        const auto& ic = cls(r, llm::PriorityClass::Interactive);
+        const auto& bc = cls(r, llm::PriorityClass::Batch);
         if (chunk == 0) {
           mono_ttft = ic.latency.p99_ttft;
           mono_itl = ic.latency.p99_itl;
@@ -223,8 +213,7 @@ int main(int argc, char** argv) {
         serve::OnlineConfig cfg = serving_config();
         cfg.engine.prefill_chunk_tokens = 64;
         const auto r = serve::run_online(t, fds, arrivals, cfg);
-        const auto& ic = r.per_class[static_cast<std::size_t>(
-            llm::PriorityClass::Interactive)];
+        const auto& ic = cls(r, llm::PriorityClass::Interactive);
         std::printf("  %s @ chunk=64: int p99 TTFT %s -> %s ms, "
                     "p99 ITL %s -> %s ms vs monolithic\n",
                     mix.name, ms(mono_ttft).c_str(),
@@ -273,7 +262,6 @@ int main(int argc, char** argv) {
                 "admission (per-class FIFO queues)\n");
   }
 
-  json.write();
   if (!all_conserved) {
     std::fprintf(stderr,
                  "FAIL: token accounting not conserved in at least one "
@@ -282,3 +270,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace llmq::bench

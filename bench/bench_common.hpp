@@ -1,24 +1,15 @@
 #pragma once
-// Shared helpers for the paper-reproduction bench binaries.
-//
-// Every bench accepts:
-//   --scale <f>   fraction of the paper's dataset sizes (default 0.1)
-//   --seed <s>    dataset seed (default 42)
-//   --full        shorthand for --scale 1.0
-//   --json <path> also write results as machine-readable JSON (the
-//                 BENCH_*.json perf-trajectory format; see JsonReport)
-//   --trace <path> write a Perfetto trace of one representative run
-// Any other flag, or a malformed value, exits 2 (parse_options).
+// Shared helpers for the paper-reproduction benches. Each bench is one
+// function `int fn(const BenchOptions&, JsonReport&)` registered in
+// main.cpp's table and run as `llmq_bench <name>`; the driver owns the
+// flags (see BenchOptions), the header and the JSON report's lifetime.
 // Scaled runs also scale the KV pool by the same fraction so the
 // data-to-cache ratio (the regime that makes reordering matter) is
 // preserved; see ExecConfig::scale_kv_pool.
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -30,6 +21,7 @@
 #include "data/generators.hpp"
 #include "query/executor.hpp"
 #include "query/metrics.hpp"
+#include "serve/online.hpp"
 #include "util/json.hpp"
 #include "util/simd.hpp"
 #include "util/strings.hpp"
@@ -37,6 +29,13 @@
 
 namespace llmq::bench {
 
+/// The driver's flags, parsed once for whichever bench runs:
+///   --scale <f>    fraction of the paper's dataset sizes (default 0.1)
+///   --seed <s>     dataset seed (default 42)
+///   --full         shorthand for --scale 1.0
+///   --json <path>  also write the JsonReport (BENCH_*.json format)
+///   --trace <path> write a Perfetto trace of one representative run
+///                  (only benches registered as tracing accept it)
 struct BenchOptions {
   double scale = 0.1;
   std::uint64_t seed = 42;
@@ -54,64 +53,6 @@ struct BenchOptions {
            static_cast<double>(data::paper_rows(dataset_key));
   }
 };
-
-/// Print `msg` and the usage line to stderr, then exit with code 2 (the
-/// conventional "bad command line" status).
-[[noreturn]] inline void usage_error(const char* prog, const std::string& msg) {
-  std::fprintf(stderr,
-               "%s: %s\nusage: %s [--scale f] [--seed s] [--full] "
-               "[--json path] [--trace path]\n",
-               prog, msg.c_str(), prog);
-  std::exit(2);
-}
-
-/// Strict flag parsing: an unknown flag, a flag missing its value, a
-/// number with trailing junk, and a non-positive or non-finite scale all
-/// exit 2 instead of silently running some other configuration.
-inline BenchOptions parse_options(int argc, char** argv) {
-  BenchOptions opt;
-  const char* prog = argv[0];
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--full") {
-      opt.scale = 1.0;
-      continue;
-    }
-    if (flag == "--help") {
-      std::printf(
-          "usage: %s [--scale f] [--seed s] [--full] [--json path] "
-          "[--trace path]\n"
-          "  --trace writes a Perfetto trace of one representative run\n"
-          "  (load it at ui.perfetto.dev; <path>.jsonl gets the raw events)\n",
-          prog);
-      std::exit(0);
-    }
-    if (flag != "--scale" && flag != "--seed" && flag != "--json" &&
-        flag != "--trace")
-      usage_error(prog, "unknown flag '" + flag + "'");
-    if (i + 1 >= argc) usage_error(prog, flag + " needs a value");
-    const char* value = argv[++i];
-    char* end = nullptr;
-    errno = 0;
-    if (flag == "--scale") {
-      opt.scale = std::strtod(value, &end);
-      if (end == value || *end != '\0' || errno != 0 ||
-          !std::isfinite(opt.scale) || opt.scale <= 0.0)
-        usage_error(prog, std::string("--scale must be a positive number, "
-                                      "got '") + value + "'");
-    } else if (flag == "--seed") {
-      opt.seed = std::strtoull(value, &end, 10);
-      if (end == value || *end != '\0' || errno != 0 || value[0] == '-')
-        usage_error(prog, std::string("--seed must be a non-negative "
-                                      "integer, got '") + value + "'");
-    } else if (flag == "--json") {
-      opt.json_path = value;
-    } else {
-      opt.trace_path = value;
-    }
-  }
-  return opt;
-}
 
 /// One key of a JSON result record: either numeric or string.
 struct JsonField {
@@ -175,8 +116,8 @@ class JsonReport {
                                std::move(record)});
   }
 
-  /// Write the report if --json was given. Safe to call once at the end of
-  /// main; prints the output path on success.
+  /// Write the report if --json was given; the driver calls it once, after
+  /// the bench returns. Prints the output path on success.
   void write() const {
     if (opt_.json_path.empty()) return;
     util::JsonWriter w;
@@ -297,15 +238,79 @@ inline data::Dataset load(const std::string& key, const BenchOptions& opt) {
   return data::generate_dataset(key, g);
 }
 
-inline void print_header(const char* title, const BenchOptions& opt) {
-  std::printf("=== %s ===\n", title);
-  std::printf("(synthetic reproduction; scale=%.3g of paper dataset sizes, "
-              "seed=%llu — compare shapes/ratios, not absolute values)\n\n",
-              opt.scale, static_cast<unsigned long long>(opt.seed));
-}
-
 /// Format simulated seconds for table cells.
 inline std::string secs(double s) { return util::fmt(s, 1); }
 inline std::string pct(double f) { return util::fmt(100.0 * f, 1) + "%"; }
+/// Simulated seconds as a milliseconds table cell.
+inline std::string ms(double seconds, int decimals = 0) {
+  return util::fmt(1000.0 * seconds, decimals);
+}
+
+/// One priority class's slice of a serving run.
+inline const serve::PriorityClassMetrics& cls(const serve::OnlineRunResult& r,
+                                              llm::PriorityClass c) {
+  return r.per_class[static_cast<std::size_t>(c)];
+}
+
+/// Original vs GGR prefix hit rate of one filter/RAG query: the pair
+/// Table 2 reports and Table 4 prices.
+struct PhrPair {
+  std::string dataset;  // display name
+  std::size_t rows = 0;
+  double original = 0.0;
+  double ggr = 0.0;
+};
+
+/// Run `query_id` over `dataset` under CacheOriginal and CacheGgr, the KV
+/// pool scaled to the dataset's share of the paper's size.
+inline PhrPair original_vs_ggr_phr(const std::string& dataset,
+                                   const std::string& query_id,
+                                   const BenchOptions& opt) {
+  const auto d = load(dataset, opt);
+  const auto& spec = data::query_by_id(query_id);
+  auto cfg_orig = query::ExecConfig::standard(query::Method::CacheOriginal);
+  auto cfg_ggr = query::ExecConfig::standard(query::Method::CacheGgr);
+  cfg_orig.scale_kv_pool(opt.kv_fraction(dataset));
+  cfg_ggr.scale_kv_pool(opt.kv_fraction(dataset));
+  return {d.name, d.table.num_rows(),
+          query::run_query(d, spec, cfg_orig).overall_phr(),
+          query::run_query(d, spec, cfg_ggr).overall_phr()};
+}
+
+/// The serving benches' shared workload: the movies-filter query's
+/// stage-1 projection of at most `row_cap` generated movies rows, served
+/// with that query's prompts and mean output length under a 30 s TTFT
+/// SLO. Benches adjust `config` from there; none of them scales the KV
+/// pool here, since each sizes its fleet differently.
+struct ServeSetup {
+  table::Table table;
+  table::FdSet fds;
+  serve::OnlineConfig config;
+  /// Served rows over the paper's movies rows: the fraction that keeps the
+  /// data-to-cache ratio of the full-size run (ExecConfig::scale_kv_pool).
+  double kv_fraction = 1.0;
+};
+
+inline ServeSetup movies_serve_setup(const BenchOptions& opt,
+                                     std::size_t row_cap) {
+  const char* key = "movies";
+  data::GenOptions g;
+  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
+  g.seed = opt.seed;
+  data::Dataset d = data::generate_dataset(key, g);
+  const data::QuerySpec& spec = data::query_by_id("movies-filter");
+
+  ServeSetup s;
+  s.table = spec.stage1.fields.empty() ? d.table
+                                       : d.table.project(spec.stage1.fields);
+  s.fds = d.fds;
+  s.kv_fraction = static_cast<double>(s.table.num_rows()) /
+                  static_cast<double>(data::paper_rows(key));
+  s.config.prompt.system_prompt = spec.system_prompt;
+  s.config.prompt.user_prompt = spec.stage1.user_prompt;
+  s.config.avg_output_tokens = spec.stage1.avg_output_tokens;
+  s.config.ttft_slo_seconds = 30.0;
+  return s;
+}
 
 }  // namespace llmq::bench

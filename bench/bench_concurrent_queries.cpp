@@ -17,13 +17,11 @@
 // aggregation/aggregation/multi/multi), the realistic shape for shared
 // endpoints: identical queries dedup wholesale, distinct queries contend
 // for cache. The fleet's total KV budget is held fixed across the sweep.
-//
-// Use --json <path> for machine-readable results.
 
 #include "bench_common.hpp"
 #include "serve/query_client.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
 
@@ -56,12 +54,7 @@ const serve::RouterPolicy kPolicies[] = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header(
-      "Concurrent query serving — shared fleet vs serial cold-cache", opt);
-  bench::JsonReport json("bench_concurrent_queries", opt);
-
+int concurrent_queries(const BenchOptions& opt, JsonReport& json) {
   const char* key = "movies";
   data::GenOptions g;
   g.n_rows = std::min<std::size_t>(opt.rows_for(key), 400);
@@ -118,9 +111,9 @@ int main(int argc, char** argv) {
                                  ? serial.seconds / r.serving.latency.makespan
                                  : 0.0;
       tp.add_row({std::to_string(nq), serve::to_string(rp),
-                  bench::pct(serial.phr),
-                  bench::pct(r.serving.engine.prompt_cache_hit_rate()),
-                  bench::pct(r.serving.effective_hit_fraction()),
+                  pct(serial.phr),
+                  pct(r.serving.engine.prompt_cache_hit_rate()),
+                  pct(r.serving.effective_hit_fraction()),
                   std::to_string(r.serving.dedup.hits),
                   util::fmt(speedup, 2) + "x",
                   util::fmt(r.serving.latency.p99_ttft, 2)});
@@ -144,6 +137,7 @@ int main(int argc, char** argv) {
   }
   tp.print();
 
-  json.write();
   return 0;
 }
+
+}  // namespace llmq::bench

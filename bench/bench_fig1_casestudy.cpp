@@ -13,7 +13,7 @@
 #include "core/phc.hpp"
 #include "pricing/price_sheet.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
 
@@ -62,10 +62,7 @@ double best_fixed_ordering_phc(const table::Table& t) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header("Fig 1 — fixed field ordering case studies", opt);
-
+int fig1_casestudy(const BenchOptions&, JsonReport&) {
   {
     util::TablePrinter tp({"scenario", "n", "m", "default PHC", "best fixed PHC",
                            "per-row PHC (GGR)", "optimal PHC", "paper optimal"});
@@ -124,7 +121,9 @@ int main(int argc, char** argv) {
         pricing::estimated_savings(sheet, fixed_hr, optimized_hr);
     std::printf("fixed hit rate 10%% -> optimized 90%%: %s cost savings "
                 "(paper: ~42%%)\n",
-                bench::pct(savings).c_str());
+                pct(savings).c_str());
   }
   return 0;
 }
+
+}  // namespace llmq::bench

@@ -5,22 +5,22 @@
 
 #include "bench_common.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
 
 void run_set(const std::vector<data::QuerySpec>& specs,
-             const bench::BenchOptions& opt, util::TablePrinter& tp) {
+             const BenchOptions& opt, util::TablePrinter& tp) {
   for (const auto& spec : specs) {
-    const auto d = bench::load(spec.dataset, opt);
+    const auto d = load(spec.dataset, opt);
     const auto cmp = query::compare_methods(d, spec, llm::llama3_8b(),
                                             llm::l4(),
                                             opt.kv_fraction(spec.dataset));
     tp.add_row({d.name, data::to_string(spec.type),
                 std::to_string(d.table.num_rows()),
-                bench::secs(cmp.no_cache.total_seconds),
-                bench::secs(cmp.cache_original.total_seconds),
-                bench::secs(cmp.cache_ggr.total_seconds),
+                secs(cmp.no_cache.total_seconds),
+                secs(cmp.cache_original.total_seconds),
+                secs(cmp.cache_ggr.total_seconds),
                 query::format_speedup(cmp.speedup_vs_no_cache()),
                 query::format_speedup(cmp.speedup_vs_original())});
   }
@@ -28,12 +28,7 @@ void run_set(const std::vector<data::QuerySpec>& specs,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header(
-      "Fig 3b — projection (T2) + RAG (T5), Llama-3-8B, 1x L4 [simulated]",
-      opt);
-
+int fig3b_projection_rag(const BenchOptions& opt, JsonReport&) {
   util::TablePrinter tp({"dataset", "type", "rows", "No Cache (s)",
                          "Cache Orig (s)", "Cache GGR (s)", "GGR vs NoCache",
                          "GGR vs Orig"});
@@ -44,3 +39,5 @@ int main(int argc, char** argv) {
               "vs Original; RAG 1.9x vs NoCache, 1.7-1.8x vs Original\n");
   return 0;
 }
+
+}  // namespace llmq::bench

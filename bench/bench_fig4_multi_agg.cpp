@@ -4,14 +4,9 @@
 
 #include "bench_common.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header(
-      "Fig 4 — multi-LLM (T3) + aggregation (T4), Llama-3-8B [simulated]",
-      opt);
-
+int fig4_multi_agg(const BenchOptions& opt, JsonReport&) {
   util::TablePrinter tp({"query", "rows", "sel. rows", "No Cache (s)",
                          "Cache Orig (s)", "Cache GGR (s)", "GGR vs NoCache",
                          "GGR vs Orig"});
@@ -21,15 +16,15 @@ int main(int argc, char** argv) {
   for (const auto& q : data::queries_of_type(data::QueryType::Aggregation))
     specs.push_back(q);
   for (const auto& spec : specs) {
-    const auto d = bench::load(spec.dataset, opt);
+    const auto d = load(spec.dataset, opt);
     const auto cmp = query::compare_methods(d, spec, llm::llama3_8b(),
                                             llm::l4(),
                                             opt.kv_fraction(spec.dataset));
     tp.add_row({spec.id, std::to_string(d.table.num_rows()),
                 std::to_string(cmp.cache_ggr.rows_selected),
-                bench::secs(cmp.no_cache.total_seconds),
-                bench::secs(cmp.cache_original.total_seconds),
-                bench::secs(cmp.cache_ggr.total_seconds),
+                secs(cmp.no_cache.total_seconds),
+                secs(cmp.cache_original.total_seconds),
+                secs(cmp.cache_ggr.total_seconds),
                 query::format_speedup(cmp.speedup_vs_no_cache()),
                 query::format_speedup(cmp.speedup_vs_original())});
   }
@@ -40,7 +35,7 @@ int main(int argc, char** argv) {
   // Aggregation semantics check: report the AVG the queries compute.
   util::print_banner("aggregation results (AVG of LLM sentiment scores)");
   for (const auto& spec : data::queries_of_type(data::QueryType::Aggregation)) {
-    const auto d = bench::load(spec.dataset, opt);
+    const auto d = load(spec.dataset, opt);
     auto cfg = query::ExecConfig::standard(query::Method::CacheGgr);
     cfg.scale_kv_pool(opt.kv_fraction(spec.dataset));
     const auto r = query::run_query(d, spec, cfg);
@@ -49,3 +44,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace llmq::bench

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "util/stats.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
 
@@ -27,10 +27,7 @@ std::vector<double> exact_match(const std::vector<std::string>& answers,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header("Fig 6 — accuracy, original vs GGR ordering", opt);
-
+int fig6_accuracy(const BenchOptions& opt, JsonReport&) {
   const std::size_t kResamples = 10000;
   struct ModelCase {
     llm::ModelProfile profile;
@@ -45,7 +42,7 @@ int main(int argc, char** argv) {
                            "diff", "95% CI orig", "95% CI GGR"});
     for (const char* key :
          {"movies", "products", "bird", "pdmx", "beer", "fever"}) {
-      const auto d = bench::load(key, opt);
+      const auto d = load(key, opt);
       const std::string qid =
           std::string(key) + (std::string(key) == "fever" ? "-rag" : "-filter");
       const auto& spec = data::query_by_id(qid);
@@ -68,13 +65,13 @@ int main(int argc, char** argv) {
       const auto b_ggr = util::bootstrap_mean(xs_ggr, kResamples, rng_g);
 
       const double diff = b_ggr.median_of_medians - b_orig.median_of_medians;
-      tp.add_row({d.name, bench::pct(b_orig.median_of_medians),
-                  bench::pct(b_ggr.median_of_medians),
+      tp.add_row({d.name, pct(b_orig.median_of_medians),
+                  pct(b_ggr.median_of_medians),
                   (diff >= 0 ? "+" : "") + util::fmt(100 * diff, 1) + "%",
-                  "[" + bench::pct(b_orig.ci_low) + ", " +
-                      bench::pct(b_orig.ci_high) + "]",
-                  "[" + bench::pct(b_ggr.ci_low) + ", " +
-                      bench::pct(b_ggr.ci_high) + "]"});
+                  "[" + pct(b_orig.ci_low) + ", " +
+                      pct(b_orig.ci_high) + "]",
+                  "[" + pct(b_ggr.ci_low) + ", " +
+                      pct(b_ggr.ci_high) + "]"});
     }
     tp.print();
   }
@@ -85,3 +82,5 @@ int main(int argc, char** argv) {
               "  GPT-4o    : -3 -2 -1 +4 -3 -2.4\n");
   return 0;
 }
+
+}  // namespace llmq::bench

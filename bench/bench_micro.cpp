@@ -33,22 +33,37 @@ namespace {
 // Global allocation counter: every operator new in the process bumps it,
 // which is what lets alloc_steadystate() assert "zero heap allocations
 // per steady-state request" at the whole-program level rather than
-// trusting any container's bookkeeping.
+// trusting any container's bookkeeping. The replacement operators are
+// linked into llmq_bench, so every bench pays one relaxed atomic add per
+// allocation; only this file reads the count. Every unaligned form is
+// replaced, nothrow included: the deletes below free() whatever they get,
+// so a new left to the runtime (std::stable_sort's temporary buffer uses
+// the nothrow form) would be a new/free mismatch under ASan.
 std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  return std::malloc(n ? n : 1);
+}
+void* operator new(std::size_t n) {
+  if (void* p = ::operator new(n, std::nothrow)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
 
@@ -79,13 +94,13 @@ std::size_t iters_for(double scale, std::size_t tokens_per_iter) {
 
 // ---- Section: token_ops (SIMD vs scalar kernels). ----
 
-void bench_token_ops(const bench::BenchOptions& opt, bench::JsonReport& json) {
+void bench_token_ops(const BenchOptions& opt, JsonReport& json) {
   const char* isa = util::simd::name(util::simd::active_isa());
   std::printf("token_ops kernels (dispatched isa=%s vs scalar)\n", isa);
   std::printf("  %6s  %10s %10s %8s  %10s %10s %8s\n", "len", "lcp_us",
               "lcp_sc_us", "speedup", "hash_us", "hash_sc_us", "speedup");
 
-  const bench::WallClockTimer timer(5, 2);
+  const WallClockTimer timer(5, 2);
   util::Rng rng(opt.seed);
   for (const std::size_t len : {std::size_t{16}, std::size_t{64},
                                 std::size_t{513}, std::size_t{4096}}) {
@@ -150,13 +165,12 @@ void bench_token_ops(const bench::BenchOptions& opt, bench::JsonReport& json) {
 
 // ---- Section: radix_fanout (child lookup vs fan-out). ----
 
-void bench_radix_fanout(const bench::BenchOptions& opt,
-                        bench::JsonReport& json) {
+void bench_radix_fanout(const BenchOptions& opt, JsonReport& json) {
   constexpr std::size_t kBlock = 16;
   std::printf("radix find_child (block=%zu tokens)\n", kBlock);
   std::printf("  %7s  %10s %10s\n", "fanout", "hit_us", "miss_us");
 
-  const bench::WallClockTimer timer(5, 2);
+  const WallClockTimer timer(5, 2);
   for (const std::size_t fanout :
        {std::size_t{4}, std::size_t{64}, std::size_t{512}}) {
     util::Rng rng(opt.seed + fanout);
@@ -220,8 +234,7 @@ StreamOutcome run_stream(
   return {s.hit_tokens, s.inserted_blocks};
 }
 
-void bench_radix_stream(const bench::BenchOptions& opt,
-                        bench::JsonReport& json) {
+void bench_radix_stream(const BenchOptions& opt, JsonReport& json) {
   const auto n_prompts = std::max<std::size_t>(
       64, static_cast<std::size_t>(2048.0 * opt.scale));
   util::Rng rng(opt.seed);
@@ -241,7 +254,7 @@ void bench_radix_stream(const bench::BenchOptions& opt,
       again.inserted_blocks != first.inserted_blocks)
     fail("radix_stream outcome not deterministic across runs");
 
-  const bench::WallClockTimer timer(5, 1);
+  const WallClockTimer timer(5, 1);
   const double us_per_request =
       timer.min_seconds([&] { g_sink = run_stream(prompts).hit_tokens; }) /
       static_cast<double>(n_prompts) * 1e6;
@@ -260,8 +273,7 @@ void bench_radix_stream(const bench::BenchOptions& opt,
 
 // ---- Section: evict_batch (single-scan batch eviction). ----
 
-void bench_evict_batch(const bench::BenchOptions& opt,
-                       bench::JsonReport& json) {
+void bench_evict_batch(const BenchOptions& opt, JsonReport& json) {
   constexpr std::size_t kBlock = 16;
   const auto n_prompts = std::max<std::size_t>(
       32, static_cast<std::size_t>(1024.0 * opt.scale));
@@ -302,8 +314,7 @@ void bench_evict_batch(const bench::BenchOptions& opt,
 
 // ---- Section: alloc_steadystate (the arena zero-allocation audit). ----
 
-void bench_alloc_steadystate(const bench::BenchOptions& opt,
-                             bench::JsonReport& json) {
+void bench_alloc_steadystate(const BenchOptions& opt, JsonReport& json) {
   constexpr std::size_t kBlock = 16;
   constexpr std::size_t kPrompts = 32;
   constexpr std::size_t kBlocksPerPrompt = 4;
@@ -365,17 +376,13 @@ void bench_alloc_steadystate(const bench::BenchOptions& opt,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
-  bench::print_header("hot-path microbenchmarks", opt);
-  bench::JsonReport json("bench_micro", opt);
-
+int micro(const BenchOptions& opt, JsonReport& json) {
   bench_token_ops(opt, json);
   bench_radix_fanout(opt, json);
   bench_radix_stream(opt, json);
   bench_evict_batch(opt, json);
   bench_alloc_steadystate(opt, json);
-
-  json.write();
   return 0;
 }
+
+}  // namespace llmq::bench

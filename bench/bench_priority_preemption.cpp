@@ -14,38 +14,34 @@
 //      finishes) and pays with recompute + degraded latency;
 //   2. aging sweep: the anti-starvation knob at 2x overload — small
 //      horizons protect batch latency, large ones protect interactive.
-//
-// Use --json <path> for machine-readable results.
 
 #include <array>
 
 #include "bench_common.hpp"
 #include "serve/online.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
 
-struct PrioSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;
-};
+std::vector<serve::Arrival> make_stream(const ServeSetup& s, double rate,
+                                        std::uint64_t seed) {
+  serve::WorkloadOptions w;
+  w.arrival_rate = rate;
+  w.n_tenants = 3;
+  w.tenant_skew = 0.0;  // balanced classes: each ~1/3 of arrivals
+  w.tenant_classes = {llm::PriorityClass::Interactive,
+                      llm::PriorityClass::Standard,
+                      llm::PriorityClass::Batch};
+  w.n_requests = 2 * s.table.num_rows();
+  w.seed = seed;
+  return serve::generate_arrivals(s.table.num_rows(), w);
+}
 
-PrioSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
+}  // namespace
 
-  PrioSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
+int priority_preemption(const BenchOptions& opt, JsonReport& json) {
+  ServeSetup s = movies_serve_setup(opt, 600);
   s.config.avg_output_tokens = 8.0;
   // Interactive rows are short completions; batch rows are long analytics
   // generations that hold batch slots — the preemption target.
@@ -60,42 +56,7 @@ PrioSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
   s.config.engine.priority_aging_seconds = 60.0;
   s.config.n_replicas = 2;
   s.config.router = serve::RouterPolicy::PrefixAffinity;
-  const double kvf = static_cast<double>(s.table.num_rows()) /
-                     static_cast<double>(data::paper_rows(key));
-  s.config.scale_kv_pool(kvf);
-  return s;
-}
-
-std::vector<serve::Arrival> make_stream(const PrioSetup& s, double rate,
-                                        std::uint64_t seed) {
-  serve::WorkloadOptions w;
-  w.arrival_rate = rate;
-  w.n_tenants = 3;
-  w.tenant_skew = 0.0;  // balanced classes: each ~1/3 of arrivals
-  w.tenant_classes = {llm::PriorityClass::Interactive,
-                      llm::PriorityClass::Standard,
-                      llm::PriorityClass::Batch};
-  w.n_requests = 2 * s.table.num_rows();
-  w.seed = seed;
-  return serve::generate_arrivals(s.table.num_rows(), w);
-}
-
-const serve::PriorityClassMetrics& cls(const serve::OnlineRunResult& r,
-                                       llm::PriorityClass c) {
-  return r.per_class[static_cast<std::size_t>(c)];
-}
-
-std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header(
-      "Priority classes — engine-level preemption under overload", opt);
-  bench::JsonReport json("bench_priority_preemption", opt);
-
-  const PrioSetup s = make_setup(opt, 600);
+  s.config.scale_kv_pool(s.kv_fraction);
   const std::size_t n = s.table.num_rows();
   std::printf("serving %zu movie rows as a 3-class stream "
               "(interactive/standard/batch tenants, batch decodes 8x)\n\n",
@@ -181,6 +142,7 @@ int main(int argc, char** argv) {
     tp.print();
   }
 
-  json.write();
   return 0;
 }
+
+}  // namespace llmq::bench

@@ -26,8 +26,6 @@
 //                      observation stream: predictions must be monotone
 //                      nondecreasing in the penalty (the knob only ever
 //                      pads, never shrinks).
-//
-// Use --json <path> for machine-readable results.
 
 #include <cmath>
 
@@ -36,38 +34,9 @@
 #include "serve/online.hpp"
 #include "util/stats.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
-
-struct ServeSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;
-  double kv_fraction = 1.0;
-};
-
-ServeSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
-
-  ServeSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.kv_fraction = static_cast<double>(s.table.num_rows()) /
-                  static_cast<double>(data::paper_rows(key));
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
-  s.config.avg_output_tokens = spec.stage1.avg_output_tokens;
-  s.config.ttft_slo_seconds = 30.0;
-  s.config.router = serve::RouterPolicy::PrefixAffinity;
-  return s;
-}
 
 /// p99 TTFT over the completions a predicate selects; 0 when none match.
 template <typename Pred>
@@ -85,13 +54,9 @@ int fail(const char* what) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header(
-      "Serving scenarios — sessions, agents & length-aware scheduling", opt);
-  bench::JsonReport json("bench_scenarios", opt);
-
-  const ServeSetup s = make_setup(opt, 600);
+int scenarios(const BenchOptions& opt, JsonReport& json) {
+  ServeSetup s = movies_serve_setup(opt, 600);
+  s.config.router = serve::RouterPolicy::PrefixAffinity;
   const std::size_t n = s.table.num_rows();
 
   // ---- 1. Multi-turn chat sessions vs the one-shot baseline. ----
@@ -138,7 +103,7 @@ int main(int argc, char** argv) {
       if (turns == 2) phr2 = phr;
       if (turns == 4) phr4 = phr;
       tp.add_row({std::to_string(turns), std::to_string(r.requests.size()),
-                  bench::pct(phr), util::fmt(1000.0 * r.latency.p99_ttft, 0),
+                  pct(phr), util::fmt(1000.0 * r.latency.p99_ttft, 0),
                   util::fmt(r.latency.p50_e2e, 2),
                   std::to_string(r.windows)});
       json.add("session_turns", {{"turns", turns},
@@ -151,10 +116,8 @@ int main(int argc, char** argv) {
     tp.print();
     std::printf("\n(a follow-up turn replays its parent's prompt + output as "
                 "an exact prefix,\n so deeper sessions push PHR up)\n\n");
-    if (!(phr2 > phr1) || !(phr4 > phr1)) {
-      json.write();
+    if (!(phr2 > phr1) || !(phr4 > phr1))
       return fail("session PHR at >= 2 turns must beat the one-shot PHR");
-    }
   }
 
   // ---- 2. Agentic tool-use loops, traced + audited. ----
@@ -201,14 +164,11 @@ int main(int argc, char** argv) {
                          {"agg_phr", r.engine.prompt_cache_hit_rate()}});
     if (!audit.ok()) {
       std::fprintf(stderr, "audit: %s\n", audit.first_violation().c_str());
-      json.write();
       return fail("agentic trace must pass audit_trace");
     }
     if (audit.turn_spawns != expected_spawns ||
-        r.requests.size() != roots * so.turns) {
-      json.write();
+        r.requests.size() != roots * so.turns)
       return fail("agentic run must spawn every turn exactly once");
-    }
   }
 
   // ---- 3. SPJF under overload: short-predicted jobs first. ----
@@ -260,7 +220,7 @@ int main(int argc, char** argv) {
       tp.add_row({spjf ? "spjf" : "fifo", std::to_string(r.requests.size()),
                   util::fmt(short_p99, 2), util::fmt(long_p99, 2),
                   util::fmt(r.latency.p99_ttft, 2),
-                  bench::pct(r.engine.prompt_cache_hit_rate())});
+                  pct(r.engine.prompt_cache_hit_rate())});
       json.add("spjf_overload",
                {{"arm", spjf ? "spjf" : "fifo"},
                 {"completions", r.requests.size()},
@@ -273,14 +233,10 @@ int main(int argc, char** argv) {
     std::printf("\n(short-predicted tenants jump the queue within their "
                 "class; every request\n still completes — the long tail "
                 "pays latency, not completions)\n\n");
-    if (spjf_done != base_done) {
-      json.write();
+    if (spjf_done != base_done)
       return fail("SPJF must not change the number of completions");
-    }
-    if (!(spjf_short_p99 < base_short_p99)) {
-      json.write();
+    if (!(spjf_short_p99 < base_short_p99))
       return fail("SPJF must improve short-tenant p99 TTFT at overload");
-    }
   }
 
   // ---- 4. Mispredict-penalty ablation over a fixed stream. ----
@@ -314,12 +270,11 @@ int main(int argc, char** argv) {
     std::printf("\n(the penalty pads each prediction by penalty x EWMA "
                 "absolute error — it can\n only grow predictions, trading "
                 "SPJF aggressiveness for mispredict safety)\n");
-    if (!monotone) {
-      json.write();
+    if (!monotone)
       return fail("mean prediction must be monotone in mispredict_penalty");
-    }
   }
 
-  json.write();
   return 0;
 }
+
+}  // namespace llmq::bench

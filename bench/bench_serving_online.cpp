@@ -10,8 +10,6 @@
 //      the time-to-first-token together — the serving tradeoff the
 //      windowed extension (core/windowed.hpp) predicts offline;
 //   3. burstiness: the same mean rate delivered smoothly vs in bursts.
-//
-// Use --json <path> for machine-readable results.
 
 #include <chrono>
 
@@ -19,37 +17,9 @@
 #include "obs/export.hpp"
 #include "serve/online.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
-
-struct ServeSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;  // scheduler policy/bounds set per run
-};
-
-ServeSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
-
-  ServeSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
-  s.config.avg_output_tokens = spec.stage1.avg_output_tokens;
-  s.config.ttft_slo_seconds = 30.0;
-  const double kvf = static_cast<double>(s.table.num_rows()) /
-                     static_cast<double>(data::paper_rows(key));
-  s.config.scale_kv_pool(kvf);
-  return s;
-}
 
 serve::OnlineRunResult run_policy(const ServeSetup& s,
                                   const std::vector<serve::Arrival>& arrivals,
@@ -62,18 +32,11 @@ serve::OnlineRunResult run_policy(const ServeSetup& s,
   return serve::run_online(s.table, s.fds, arrivals, cfg);
 }
 
-std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header(
-      "Online serving — streaming scheduler, cache-aware windowed reordering",
-      opt);
-  bench::JsonReport json("bench_serving_online", opt);
-
-  const ServeSetup s = make_setup(opt, 1000);
+int serving_online(const BenchOptions& opt, JsonReport& json) {
+  ServeSetup s = movies_serve_setup(opt, 1000);
+  s.config.scale_kv_pool(s.kv_fraction);
   const std::size_t n = s.table.num_rows();
   std::printf("serving %zu rows of movies-filter as a request stream\n\n", n);
 
@@ -99,7 +62,7 @@ int main(int argc, char** argv) {
       for (serve::Policy p : policies) {
         const auto r = run_policy(s, arrivals, p, 64, 8.0);
         tp.add_row({util::fmt(rate, 0), serve::to_string(p),
-                    bench::pct(r.engine.prompt_cache_hit_rate()),
+                    pct(r.engine.prompt_cache_hit_rate()),
                     ms(r.latency.p50_ttft), ms(r.latency.p99_ttft),
                     ms(r.latency.mean_queue_delay),
                     util::fmt(r.latency.goodput_rps, 1),
@@ -138,7 +101,7 @@ int main(int argc, char** argv) {
                             static_cast<double>(r.windows)
                       : 0.0;
         tp.add_row({util::fmt(deadline, 2), serve::to_string(p),
-                    bench::pct(r.engine.prompt_cache_hit_rate()),
+                    pct(r.engine.prompt_cache_hit_rate()),
                     ms(r.latency.p50_ttft), ms(r.latency.p99_ttft),
                     util::fmt(mean_window, 1)});
         json.add("deadline_sweep",
@@ -172,7 +135,7 @@ int main(int argc, char** argv) {
       const auto r =
           run_policy(s, arrivals, serve::Policy::WindowedGgr, 64, 2.0);
       tp.add_row({bursty ? "bursty (4x/20%)" : "poisson",
-                  bench::pct(r.engine.prompt_cache_hit_rate()),
+                  pct(r.engine.prompt_cache_hit_rate()),
                   ms(r.latency.p50_ttft), ms(r.latency.p99_ttft),
                   std::to_string(r.engine.peak_batch_size)});
       json.add("burstiness",
@@ -218,7 +181,7 @@ int main(int argc, char** argv) {
     // CI asserts the disabled path is not slower than the traced one
     // beyond noise. Wall-clock keys only — golden diffs must never
     // compare them.
-    const bench::WallClockTimer timer(/*reps=*/5, /*warmup=*/1);
+    const WallClockTimer timer(/*reps=*/5, /*warmup=*/1);
     const auto wall_min = [&](bool traced) {
       return timer.min_seconds([&] {
         obs::TraceLog log;
@@ -238,6 +201,7 @@ int main(int argc, char** argv) {
                                 {"overhead_frac", frac}});
   }
 
-  json.write();
   return 0;
 }
+
+}  // namespace llmq::bench

@@ -15,58 +15,25 @@
 // The fleet's total KV budget is held fixed: each replica gets the
 // single-engine pool divided by n_replicas, so sweeping the replica count
 // changes sharding, not aggregate memory.
-//
-// Use --json <path> for machine-readable results.
 
 #include "bench_common.hpp"
 #include "serve/online.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
-
-struct ServeSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;
-};
-
-ServeSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
-
-  ServeSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
-  s.config.avg_output_tokens = spec.stage1.avg_output_tokens;
-  s.config.ttft_slo_seconds = 30.0;
-  s.config.scheduler.policy = serve::Policy::TenantGgr;
-  s.config.scheduler.window_rows = 64;
-  s.config.scheduler.max_wait_seconds = 4.0;
-  return s;
-}
 
 serve::OnlineRunResult run_sharded(const ServeSetup& s,
                                    const std::vector<serve::Arrival>& arrivals,
                                    std::size_t n_replicas,
-                                   serve::RouterPolicy router,
-                                   double kv_fraction) {
+                                   serve::RouterPolicy router) {
   serve::OnlineConfig cfg = s.config;
   cfg.n_replicas = n_replicas;
   cfg.router = router;
   // Fixed fleet budget: per-replica pool = single-engine pool / replicas.
-  cfg.scale_kv_pool(kv_fraction / static_cast<double>(n_replicas));
+  cfg.scale_kv_pool(s.kv_fraction / static_cast<double>(n_replicas));
   return serve::run_online(s.table, s.fds, arrivals, cfg);
 }
-
-std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
 
 const serve::RouterPolicy kPolicies[] = {
     serve::RouterPolicy::RoundRobin, serve::RouterPolicy::LeastLoaded,
@@ -74,16 +41,12 @@ const serve::RouterPolicy kPolicies[] = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header(
-      "Replicated serving — cache-affinity routing vs naive sharding", opt);
-  bench::JsonReport json("bench_serving_router", opt);
-
-  const ServeSetup s = make_setup(opt, 1000);
+int serving_router(const BenchOptions& opt, JsonReport& json) {
+  ServeSetup s = movies_serve_setup(opt, 1000);
+  s.config.scheduler.policy = serve::Policy::TenantGgr;
+  s.config.scheduler.window_rows = 64;
+  s.config.scheduler.max_wait_seconds = 4.0;
   const std::size_t n = s.table.num_rows();
-  const double kvf = static_cast<double>(n) /
-                     static_cast<double>(data::paper_rows("movies"));
 
   serve::WorkloadOptions w;
   w.n_tenants = 8;
@@ -105,9 +68,9 @@ int main(int argc, char** argv) {
     const auto arrivals = serve::generate_arrivals(n, w);
     for (const std::size_t reps : {1u, 2u, 4u, 8u}) {
       for (const serve::RouterPolicy rp : kPolicies) {
-        const auto r = run_sharded(s, arrivals, reps, rp, kvf);
+        const auto r = run_sharded(s, arrivals, reps, rp);
         tp.add_row({std::to_string(reps), serve::to_string(rp),
-                    bench::pct(r.engine.prompt_cache_hit_rate()),
+                    pct(r.engine.prompt_cache_hit_rate()),
                     ms(r.latency.p50_ttft), ms(r.latency.p99_ttft),
                     util::fmt(r.load_imbalance, 2),
                     util::fmt(r.latency.goodput_rps, 1)});
@@ -135,9 +98,9 @@ int main(int argc, char** argv) {
       w.arrival_rate = rate;
       const auto arrivals = serve::generate_arrivals(n, w);
       for (const serve::RouterPolicy rp : kPolicies) {
-        const auto r = run_sharded(s, arrivals, 4, rp, kvf);
+        const auto r = run_sharded(s, arrivals, 4, rp);
         tp.add_row({util::fmt(rate, 0), serve::to_string(rp),
-                    bench::pct(r.engine.prompt_cache_hit_rate()),
+                    pct(r.engine.prompt_cache_hit_rate()),
                     ms(r.latency.p50_ttft), ms(r.latency.p99_ttft),
                     util::fmt(r.load_imbalance, 2),
                     util::fmt(r.latency.goodput_rps, 1)});
@@ -155,6 +118,7 @@ int main(int argc, char** argv) {
     tp.print();
   }
 
-  json.write();
   return 0;
 }
+
+}  // namespace llmq::bench

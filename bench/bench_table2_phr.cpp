@@ -4,13 +4,9 @@
 
 #include "bench_common.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header("Table 2 — PHR (%), filter + RAG queries [simulated]",
-                      opt);
-
+int table2_phr(const BenchOptions& opt, JsonReport& json) {
   struct Row {
     const char* dataset;
     const char* query;
@@ -25,32 +21,23 @@ int main(int argc, char** argv) {
                       {"fever", "fever-rag", 11, 67},
                       {"squad", "squad-rag", 11, 70}};
 
-  bench::JsonReport json("bench_table2_phr", opt);
   util::TablePrinter tp({"dataset", "rows", "Original PHR", "GGR PHR",
                          "delta", "paper Orig", "paper GGR"});
   for (const auto& r : rows) {
-    const auto d = bench::load(r.dataset, opt);
-    const auto& spec = data::query_by_id(r.query);
-    auto cfg_orig = query::ExecConfig::standard(query::Method::CacheOriginal);
-    auto cfg_ggr = query::ExecConfig::standard(query::Method::CacheGgr);
-    cfg_orig.scale_kv_pool(opt.kv_fraction(r.dataset));
-    cfg_ggr.scale_kv_pool(opt.kv_fraction(r.dataset));
-    const auto orig = query::run_query(d, spec, cfg_orig);
-    const auto ggr = query::run_query(d, spec, cfg_ggr);
-    tp.add_row({d.name, std::to_string(d.table.num_rows()),
-                bench::pct(orig.overall_phr()), bench::pct(ggr.overall_phr()),
-                "+" + util::fmt(100 * (ggr.overall_phr() - orig.overall_phr()),
-                                1),
+    const PhrPair p = original_vs_ggr_phr(r.dataset, r.query, opt);
+    tp.add_row({p.dataset, std::to_string(p.rows), pct(p.original),
+                pct(p.ggr), "+" + util::fmt(100 * (p.ggr - p.original), 1),
                 util::fmt(r.paper_orig, 0) + "%",
                 util::fmt(r.paper_ggr, 0) + "%"});
     json.add("phr", {{"dataset", r.dataset},
-                     {"rows", d.table.num_rows()},
-                     {"original_phr", orig.overall_phr()},
-                     {"ggr_phr", ggr.overall_phr()},
+                     {"rows", p.rows},
+                     {"original_phr", p.original},
+                     {"ggr_phr", p.ggr},
                      {"paper_original_phr", r.paper_orig / 100.0},
                      {"paper_ggr_phr", r.paper_ggr / 100.0}});
   }
   tp.print();
-  json.write();
   return 0;
 }
+
+}  // namespace llmq::bench

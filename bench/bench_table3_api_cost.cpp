@@ -10,7 +10,7 @@
 #include "pricing/cost_report.hpp"
 #include "query/prompt.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
 
@@ -30,11 +30,7 @@ std::vector<pricing::PricedRequest> build_stream(const table::Table& t,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  auto opt = bench::parse_options(argc, argv);
-  bench::print_header(
-      "Table 3 — OpenAI / Anthropic API cost, FEVER-1000, fields x5", opt);
-
+int table3_api_cost(const BenchOptions& opt, JsonReport&) {
   // The paper fixes this experiment at 1000 rows regardless of scale.
   data::GenOptions g;
   g.n_rows = static_cast<std::size_t>(1000 * std::min(1.0, opt.scale * 10));
@@ -96,3 +92,5 @@ int main(int argc, char** argv) {
   tp.print();
   return 0;
 }
+
+}  // namespace llmq::bench

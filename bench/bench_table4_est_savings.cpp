@@ -6,13 +6,9 @@
 #include "bench_common.hpp"
 #include "pricing/price_sheet.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header("Table 4 — estimated cost savings from PHR [simulated]",
-                      opt);
-
+int table4_est_savings(const BenchOptions& opt, JsonReport&) {
   struct Row {
     const char* dataset;
     const char* query;
@@ -33,16 +29,10 @@ int main(int argc, char** argv) {
   util::TablePrinter tp({"dataset", "Orig PHR", "GGR PHR", "OpenAI save",
                          "Anthropic save", "paper OA", "paper An"});
   for (const auto& r : rows) {
-    const auto d = bench::load(r.dataset, opt);
-    const auto& spec = data::query_by_id(r.query);
-    auto cfg_orig = query::ExecConfig::standard(query::Method::CacheOriginal);
-    auto cfg_ggr = query::ExecConfig::standard(query::Method::CacheGgr);
-    cfg_orig.scale_kv_pool(opt.kv_fraction(r.dataset));
-    cfg_ggr.scale_kv_pool(opt.kv_fraction(r.dataset));
-    const double phr_orig =
-        query::run_query(d, spec, cfg_orig).overall_phr();
-    const double phr_ggr = query::run_query(d, spec, cfg_ggr).overall_phr();
-    tp.add_row({d.name, bench::pct(phr_orig), bench::pct(phr_ggr),
+    const PhrPair p = original_vs_ggr_phr(r.dataset, r.query, opt);
+    const double phr_orig = p.original;
+    const double phr_ggr = p.ggr;
+    tp.add_row({p.dataset, bench::pct(phr_orig), bench::pct(phr_ggr),
                 bench::pct(pricing::estimated_savings(openai, phr_orig, phr_ggr)),
                 bench::pct(
                     pricing::estimated_savings(anthropic, phr_orig, phr_ggr)),
@@ -52,3 +42,5 @@ int main(int argc, char** argv) {
   tp.print();
   return 0;
 }
+
+}  // namespace llmq::bench

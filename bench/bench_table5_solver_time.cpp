@@ -12,12 +12,9 @@
 #include "bench_common.hpp"
 #include "core/ggr.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
-int main(int argc, char** argv) {
-  auto opt = bench::parse_options(argc, argv);
-  bench::print_header("Table 5 — GGR solver time (s)", opt);
-
+int table5_solver_time(const BenchOptions& opt, JsonReport&) {
   struct Row {
     const char* key;
     bool full_size;
@@ -51,3 +48,5 @@ int main(int argc, char** argv) {
               "vectors; recursion splits never copy cell data)\n");
   return 0;
 }
+
+}  // namespace llmq::bench

@@ -10,11 +10,9 @@
 #include "core/ophr.hpp"
 #include "core/phc.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header("Table 6 — OPHR vs GGR on small samples", opt);
+int table6_ophr_vs_ggr(const BenchOptions& opt, JsonReport&) {
   const double budget_s = opt.scale >= 1.0 ? 60.0 : 10.0;
 
   util::TablePrinter tp({"sample", "OPHR hit%", "GGR hit%", "diff",
@@ -55,8 +53,8 @@ int main(int argc, char** argv) {
     const auto ophr_b = core::phc_breakdown(sample, best->ordering);
     const auto ggr_b = core::phc_breakdown(sample, ggr.ordering);
     tp.add_row({d.name + "-" + std::to_string(best_rows),
-                bench::pct(ophr_b.hit_fraction()),
-                bench::pct(ggr_b.hit_fraction()),
+                pct(ophr_b.hit_fraction()),
+                pct(ggr_b.hit_fraction()),
                 util::fmt(100 * (ggr_b.hit_fraction() - ophr_b.hit_fraction()),
                           1),
                 util::fmt(best->solve_seconds, 2),
@@ -67,3 +65,5 @@ int main(int argc, char** argv) {
               "to 2556 s vs GGR <=0.25 s\n");
   return 0;
 }
+
+}  // namespace llmq::bench

@@ -6,13 +6,9 @@
 
 #include "bench_common.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header(
-      "Table 7 — filter queries (T1), Llama-3.2-1B, 1x L4 [simulated]", opt);
-
+int table7_llama1b(const BenchOptions& opt, JsonReport&) {
   struct Paper {
     const char* dataset;
     double ratio;
@@ -29,7 +25,7 @@ int main(int argc, char** argv) {
                          "runtime orig/GGR (8B)", "Orig PHR", "GGR PHR",
                          "paper ratio", "paper GGR PHR"});
   for (const auto& p : paper) {
-    const auto d = bench::load(p.dataset, opt);
+    const auto d = load(p.dataset, opt);
     const auto& spec = data::query_by_id(std::string(p.dataset) + "-filter");
     const double kvf = opt.kv_fraction(p.dataset);
     const auto tiny =
@@ -38,8 +34,8 @@ int main(int argc, char** argv) {
         query::compare_methods(d, spec, llm::llama3_8b(), llm::l4(), kvf);
     tp.add_row({d.name, query::format_speedup(tiny.speedup_vs_original()),
                 query::format_speedup(big.speedup_vs_original()),
-                bench::pct(tiny.cache_original.overall_phr()),
-                bench::pct(tiny.cache_ggr.overall_phr()),
+                pct(tiny.cache_original.overall_phr()),
+                pct(tiny.cache_ggr.overall_phr()),
                 query::format_speedup(p.ratio),
                 util::fmt(p.ggr_phr, 1) + "%"});
   }
@@ -48,3 +44,5 @@ int main(int argc, char** argv) {
               "PHRs stay comparable across model sizes\n");
   return 0;
 }
+
+}  // namespace llmq::bench

@@ -16,56 +16,17 @@
 //   3. elasticity: watermark-driven scale-up under a burst, cold spawns
 //      vs warm spawns that migrate hot prefixes from the most-loaded
 //      donor; the trace auditor must pass either way.
-//
-// Use --json <path> for machine-readable results.
 
 #include "bench_common.hpp"
 #include "obs/audit.hpp"
 #include "obs/trace.hpp"
 #include "serve/online.hpp"
 
-using namespace llmq;
+namespace llmq::bench {
 
 namespace {
 
-struct TierSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;
-  double kvf = 1.0;
-};
-
-TierSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
-
-  TierSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.kvf = static_cast<double>(s.table.num_rows()) /
-          static_cast<double>(data::paper_rows(key));
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
-  s.config.avg_output_tokens = 6.0;
-  s.config.class_output_multiplier = {0.5, 1.0, 4.0};
-  s.config.ttft_slo_seconds = 2.0;
-  s.config.scheduler.policy = serve::Policy::WindowedGgr;
-  s.config.scheduler.window_rows = 32;
-  s.config.scheduler.max_wait_seconds = 1.0;
-  s.config.scheduler.priority_order = true;
-  s.config.scheduler.aging_seconds = 8.0;
-  s.config.engine.max_batch_size = 8;
-  s.config.engine.priority_aging_seconds = 8.0;
-  s.config.router = serve::RouterPolicy::PrefixAffinity;
-  return s;
-}
-
-std::vector<serve::Arrival> make_stream(const TierSetup& s, double rate,
+std::vector<serve::Arrival> make_stream(const ServeSetup& s, double rate,
                                         std::uint64_t seed) {
   serve::WorkloadOptions w;
   w.arrival_rate = rate;
@@ -79,30 +40,30 @@ std::vector<serve::Arrival> make_stream(const TierSetup& s, double rate,
   return serve::generate_arrivals(s.table.num_rows(), w);
 }
 
-const serve::PriorityClassMetrics& cls(const serve::OnlineRunResult& r,
-                                       llm::PriorityClass c) {
-  return r.per_class[static_cast<std::size_t>(c)];
-}
-
 /// Shared fleet budget, deliberately tight: the per-replica GPU pool is
 /// HALF the proportional share, so the flat cache sheds shared prefixes
 /// under load — the regime the tier hierarchy exists for.
-void apply_pool(serve::OnlineConfig& cfg, const TierSetup& s,
+void apply_pool(serve::OnlineConfig& cfg, const ServeSetup& s,
                 std::size_t reps) {
   cfg.n_replicas = reps;
-  cfg.scale_kv_pool(0.5 * s.kvf / static_cast<double>(reps));
+  cfg.scale_kv_pool(0.5 * s.kv_fraction / static_cast<double>(reps));
 }
-
-std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 1); }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
-  bench::print_header("Tiered KV cache + elastic fleet vs flat cache", opt);
-  bench::JsonReport json("bench_tiered_cache", opt);
-
-  const TierSetup s = make_setup(opt, 600);
+int tiered_cache(const BenchOptions& opt, JsonReport& json) {
+  ServeSetup s = movies_serve_setup(opt, 600);
+  s.config.avg_output_tokens = 6.0;
+  s.config.class_output_multiplier = {0.5, 1.0, 4.0};
+  s.config.ttft_slo_seconds = 2.0;
+  s.config.scheduler.policy = serve::Policy::WindowedGgr;
+  s.config.scheduler.window_rows = 32;
+  s.config.scheduler.max_wait_seconds = 1.0;
+  s.config.scheduler.priority_order = true;
+  s.config.scheduler.aging_seconds = 8.0;
+  s.config.engine.max_batch_size = 8;
+  s.config.engine.priority_aging_seconds = 8.0;
+  s.config.router = serve::RouterPolicy::PrefixAffinity;
   const std::size_t n = s.table.num_rows();
   // Constant per-replica overload: arrivals outpace sustainable goodput at
   // every fleet size without collapsing the small fleets into a pure
@@ -135,12 +96,12 @@ int main(int argc, char** argv) {
         const bool tiered = arm == &tier;
         const auto& ic = cls(*arm, llm::PriorityClass::Interactive);
         tp.add_row({std::to_string(reps), tiered ? "tiered" : "flat",
-                    bench::pct(arm->engine.prompt_cache_hit_rate()),
-                    ms(ic.latency.p99_ttft),
+                    pct(arm->engine.prompt_cache_hit_rate()),
+                    ms(ic.latency.p99_ttft, 1),
                     util::fmt(arm->latency.goodput_rps, 1),
                     std::to_string(arm->engine.cache.demoted_blocks),
                     std::to_string(arm->engine.cache.promoted_blocks),
-                    ms(arm->engine.promote_seconds)});
+                    ms(arm->engine.promote_seconds, 1)});
         json.add("tiers_vs_flat",
                  {{"replicas", reps},
                   {"arm", tiered ? "tiered" : "flat"},
@@ -209,11 +170,11 @@ int main(int argc, char** argv) {
       const auto& ic = cls(r, llm::PriorityClass::Interactive);
       const std::string cap_str =
           host_cap ? std::to_string(host_cap) : std::string("unbounded");
-      tp.add_row({cap_str, bench::pct(r.engine.prompt_cache_hit_rate()),
-                  ms(ic.latency.p99_ttft),
+      tp.add_row({cap_str, pct(r.engine.prompt_cache_hit_rate()),
+                  ms(ic.latency.p99_ttft, 1),
                   std::to_string(r.engine.cache.demoted_blocks),
                   std::to_string(r.engine.cache.evicted_blocks),
-                  ms(r.engine.promote_seconds)});
+                  ms(r.engine.promote_seconds, 1)});
       json.add("split_sweep",
                {{"host_capacity_blocks", host_cap},
                 {"agg_phr", r.engine.prompt_cache_hit_rate()},
@@ -256,8 +217,8 @@ int main(int argc, char** argv) {
         ok = false;
       }
       tp.add_row({migrate ? "warm" : "cold",
-                  bench::pct(r.engine.prompt_cache_hit_rate()),
-                  ms(ic.latency.p99_ttft),
+                  pct(r.engine.prompt_cache_hit_rate()),
+                  ms(ic.latency.p99_ttft, 1),
                   std::to_string(audit.replica_spawns),
                   std::to_string(audit.replica_drains),
                   std::to_string(audit.prefix_migrations),
@@ -278,7 +239,6 @@ int main(int argc, char** argv) {
     tp.print();
   }
 
-  json.write();
   if (!ok) {
     std::fprintf(stderr, "\nbench_tiered_cache: SELF-CHECK FAILED\n");
     return 1;
@@ -287,3 +247,5 @@ int main(int argc, char** argv) {
               "somewhere),\ninteractive p99 TTFT no worse, audits clean\n");
   return 0;
 }
+
+}  // namespace llmq::bench

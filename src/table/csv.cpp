@@ -102,7 +102,15 @@ Table read_csv(std::istream& is) {
   std::vector<std::string> cells;
   if (!read_record(is, cells))
     throw std::runtime_error("CSV: empty input (no header)");
-  Table t(Schema::of_names(cells));
+  // Schema throws std::invalid_argument on a duplicate name, a caller bug
+  // elsewhere; here the names are input, so it is malformed CSV.
+  Table t = [&] {
+    try {
+      return Table(Schema::of_names(cells));
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(std::string("CSV: bad header: ") + e.what());
+    }
+  }();
   const std::size_t arity = t.num_cols();
   while (read_record(is, cells)) {
     if (cells.size() == 1 && cells[0].empty()) continue;  // trailing newline

@@ -18,7 +18,8 @@ std::string to_csv(const Table& t);
 void write_csv_file(const Table& t, const std::string& path);
 
 /// Parse; first row is the header. All fields typed Text.
-/// Throws std::runtime_error on ragged rows or unterminated quotes.
+/// Throws std::runtime_error on ragged rows, unterminated quotes, or a
+/// header that names a field twice.
 Table read_csv(std::istream& is);
 Table from_csv(const std::string& text);
 Table read_csv_file(const std::string& path);

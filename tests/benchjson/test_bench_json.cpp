@@ -1,16 +1,17 @@
-// Golden JSON schema tests for the --json-capable bench binaries.
+// Golden JSON schema tests for the --json-capable benches.
 //
 // Each bench's --json report feeds downstream perf-trajectory tooling;
 // a silently renamed key or retyped value breaks that tooling without
 // failing any test. This harness runs every JSON bench at trivial scale
-// and validates the report's shape with util::json_parse: the standard
-// envelope (bench / scale / seed / sections) plus, per section, the
-// required record keys and their types. Extra keys are allowed —
-// reports may grow — but required keys may not vanish or change type.
+// through the llmq_bench driver and validates the report's shape with
+// util::json_parse: the standard envelope (bench / scale / seed /
+// sections) plus, per section, the required record keys and their types.
+// Extra keys are allowed — reports may grow — but required keys may not
+// vanish or change type.
 //
-// The bench binary directory is compiled in (LLMQ_BIN_DIR, set by
-// CMakeLists.txt to the build root); when the binaries are absent (e.g.
-// a -DLLMQ_BUILD_BENCHES=OFF build) the tests skip rather than fail.
+// The driver's directory is compiled in (LLMQ_BIN_DIR, set by
+// CMakeLists.txt to the build root); when llmq_bench is absent (e.g. a
+// -DLLMQ_BUILD_BENCHES=OFF build) the tests skip rather than fail.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,7 +44,7 @@ struct SectionSpec {
 };
 
 struct BenchSpec {
-  const char* binary;
+  const char* name;  // registry name: `llmq_bench <name>`
   std::vector<SectionSpec> sections;
 };
 
@@ -51,7 +53,7 @@ constexpr auto kStr = util::JsonValue::Type::String;
 
 const std::vector<BenchSpec>& bench_specs() {
   static const std::vector<BenchSpec> specs = {
-      {"bench_table2_phr",
+      {"table2_phr",
        {{"phr",
          {{"dataset", kStr},
           {"rows", kNum},
@@ -59,7 +61,7 @@ const std::vector<BenchSpec>& bench_specs() {
           {"ggr_phr", kNum},
           {"paper_original_phr", kNum},
           {"paper_ggr_phr", kNum}}}}},
-      {"bench_serving_online",
+      {"serving_online",
        {{"rate_policy",
          {{"policy", kStr},
           {"rate", kNum},
@@ -87,7 +89,7 @@ const std::vector<BenchSpec>& bench_specs() {
          {{"wall_s_no_trace", kNum},
           {"wall_s_traced", kNum},
           {"overhead_frac", kNum}}}}},
-      {"bench_serving_router",
+      {"serving_router",
        {{"replicas_policy",
          {{"replicas", kNum},
           {"router", kStr},
@@ -105,7 +107,7 @@ const std::vector<BenchSpec>& bench_specs() {
           {"agg_phr", kNum},
           {"load_imbalance", kNum},
           {"goodput_rps", kNum}}}}},
-      {"bench_ablation_serving",
+      {"ablation_serving",
        {{"kv_pool_sweep",
          {{"pool_mult", kNum},
           {"original_phr", kNum},
@@ -116,7 +118,7 @@ const std::vector<BenchSpec>& bench_specs() {
          {{"max_batch", kNum}, {"original_s", kNum}, {"ggr_s", kNum}}},
         {"block_size_sweep",
          {{"block_tokens", kNum}, {"ggr_phr", kNum}, {"ggr_s", kNum}}}}},
-      {"bench_priority_preemption",
+      {"priority_preemption",
        {{"overload",
          {{"rate_mult", kNum},
           {"rate_rps", kNum},
@@ -135,7 +137,7 @@ const std::vector<BenchSpec>& bench_specs() {
           {"batch_p99_e2e_s", kNum},
           {"batch_completed", kNum},
           {"preemptions", kNum}}}}},
-      {"bench_chunked_prefill",
+      {"chunked_prefill",
        {{"chunk_mix_sweep",
          {{"mix", kStr},
           {"chunk_tokens", kNum},
@@ -149,7 +151,7 @@ const std::vector<BenchSpec>& bench_specs() {
           {"tokens_conserved", kStr}}},
         {"deep_backlog",
          {{"depth", kNum}, {"us_per_request", kNum}}}}},
-      {"bench_micro",
+      {"micro",
        {{"token_ops",
          {{"len", kNum},
           {"isa", kStr},
@@ -177,7 +179,7 @@ const std::vector<BenchSpec>& bench_specs() {
           {"warmup_allocs", kNum},
           {"steady_allocs", kNum},
           {"node_slots_delta", kNum}}}}},
-      {"bench_concurrent_queries",
+      {"concurrent_queries",
        {{"queries_router",
          {{"queries", kNum},
           {"router", kStr},
@@ -192,7 +194,7 @@ const std::vector<BenchSpec>& bench_specs() {
           {"p50_ttft_s", kNum},
           {"p99_ttft_s", kNum},
           {"load_imbalance", kNum}}}}},
-      {"bench_scenarios",
+      {"scenarios",
        {{"session_turns",
          {{"turns", kNum},
           {"requests", kNum},
@@ -217,7 +219,7 @@ const std::vector<BenchSpec>& bench_specs() {
           {"agg_phr", kNum}}},
         {"penalty_ablation",
          {{"penalty", kNum}, {"mean_predicted_tokens", kNum}}}}},
-      {"bench_tiered_cache",
+      {"tiered_cache",
        {{"tiers_vs_flat",
          {{"replicas", kNum},
           {"arm", kStr},
@@ -251,47 +253,53 @@ const std::vector<BenchSpec>& bench_specs() {
   return specs;
 }
 
+const std::string kDriver = std::string(LLMQ_BIN_DIR) + "/llmq_bench";
+
 bool file_exists(const std::string& path) {
   std::ifstream f(path);
   return f.good();
 }
 
-class BenchJsonSchema : public ::testing::TestWithParam<BenchSpec> {};
+/// Exit status of `llmq_bench <args>`, output discarded; -1 if it did not
+/// exit normally.
+int run_driver(const std::string& args) {
+  const std::string cmd = kDriver + " " + args + " > /dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
 
-TEST_P(BenchJsonSchema, TrivialRunEmitsRequiredKeysAndTypes) {
-  const BenchSpec& spec = GetParam();
-  const std::string binary = std::string(LLMQ_BIN_DIR) + "/" + spec.binary;
-  if (!file_exists(binary))
-    GTEST_SKIP() << binary << " not built (benches disabled?)";
-
+/// Run `llmq_bench <name>` at trivial scale with --json and parse the
+/// report it wrote.
+std::optional<util::JsonValue> run_and_parse(const std::string& name) {
   const std::string out_path =
-      ::testing::TempDir() + "llmq_" + spec.binary + ".json";
-  const std::string cmd = binary + " --scale 0.01 --seed 7 --json " +
-                          out_path + " > /dev/null 2>&1";
-  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
-
+      ::testing::TempDir() + "llmq_bench_" + name + ".json";
+  const std::string args = name + " --scale 0.01 --seed 7 --json " + out_path;
+  EXPECT_EQ(run_driver(args), 0) << "llmq_bench " << args;
   std::ifstream in(out_path);
-  ASSERT_TRUE(in.good()) << "bench wrote no JSON to " << out_path;
+  if (!in.good()) return std::nullopt;
   std::stringstream buf;
   buf << in.rdbuf();
-  const auto doc = util::json_parse(buf.str());
-  ASSERT_TRUE(doc.has_value()) << "bench emitted unparseable JSON";
+  std::remove(out_path.c_str());
+  return util::json_parse(buf.str());
+}
 
-  // Envelope: bench name echoes the binary; scale/seed numeric.
-  ASSERT_TRUE(doc->is_object());
-  const util::JsonValue* name = doc->find("bench");
-  ASSERT_NE(name, nullptr);
-  EXPECT_EQ(name->as_string(), spec.binary);
-  ASSERT_NE(doc->find("scale"), nullptr);
-  EXPECT_TRUE(doc->find("scale")->is_number());
-  ASSERT_NE(doc->find("seed"), nullptr);
-  EXPECT_TRUE(doc->find("seed")->is_number());
-  // Envelope v2: schema version + toolchain and host provenance (a
-  // golden diff must be able to refuse cross-toolchain and cross-host
-  // wall-clock comparisons).
-  ASSERT_NE(doc->find("schema_version"), nullptr);
-  EXPECT_TRUE(doc->find("schema_version")->is_number());
-  const util::JsonValue* prov = doc->find("provenance");
+/// The envelope every report carries, whatever its sections: the bench
+/// field echoes "bench_<name>", scale/seed are numeric, and the v2
+/// schema version and toolchain/host provenance are present (a golden
+/// diff must be able to refuse cross-toolchain and cross-host wall-clock
+/// comparisons).
+void expect_envelope(const util::JsonValue& doc, const std::string& name) {
+  ASSERT_TRUE(doc.is_object());
+  const util::JsonValue* bench = doc.find("bench");
+  ASSERT_NE(bench, nullptr);
+  EXPECT_EQ(bench->as_string(), "bench_" + name);
+  ASSERT_NE(doc.find("scale"), nullptr);
+  EXPECT_TRUE(doc.find("scale")->is_number());
+  ASSERT_NE(doc.find("seed"), nullptr);
+  EXPECT_TRUE(doc.find("seed")->is_number());
+  ASSERT_NE(doc.find("schema_version"), nullptr);
+  EXPECT_TRUE(doc.find("schema_version")->is_number());
+  const util::JsonValue* prov = doc.find("provenance");
   ASSERT_NE(prov, nullptr);
   ASSERT_TRUE(prov->is_object());
   for (const char* key : {"build_type", "sanitizer", "compiler",
@@ -303,10 +311,24 @@ TEST_P(BenchJsonSchema, TrivialRunEmitsRequiredKeysAndTypes) {
   }
   ASSERT_NE(prov->find("hardware_threads"), nullptr);
   EXPECT_TRUE(prov->find("hardware_threads")->is_number());
-  const util::JsonValue* sections = doc->find("sections");
+  const util::JsonValue* sections = doc.find("sections");
   ASSERT_NE(sections, nullptr);
   ASSERT_TRUE(sections->is_object());
+}
 
+class BenchJsonSchema : public ::testing::TestWithParam<BenchSpec> {};
+
+TEST_P(BenchJsonSchema, TrivialRunEmitsRequiredKeysAndTypes) {
+  const BenchSpec& spec = GetParam();
+  if (!file_exists(kDriver))
+    GTEST_SKIP() << kDriver << " not built (benches disabled?)";
+
+  const auto doc = run_and_parse(spec.name);
+  ASSERT_TRUE(doc.has_value()) << "bench wrote no or unparseable JSON";
+  expect_envelope(*doc, spec.name);
+  if (HasFatalFailure()) return;
+
+  const util::JsonValue* sections = doc->find("sections");
   for (const SectionSpec& sec : spec.sections) {
     const util::JsonValue* records = sections->find(sec.name);
     ASSERT_NE(records, nullptr) << "missing section " << sec.name;
@@ -325,35 +347,45 @@ TEST_P(BenchJsonSchema, TrivialRunEmitsRequiredKeysAndTypes) {
       ++i;
     }
   }
-  std::remove(out_path.c_str());
 }
 
 std::string spec_name(const ::testing::TestParamInfo<BenchSpec>& info) {
-  return info.param.binary;
+  return std::string("bench_") + info.param.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllJsonBenches, BenchJsonSchema,
                          ::testing::ValuesIn(bench_specs()), spec_name);
 
-// Every bench shares bench_common.hpp's parse_options, so one binary
-// covers the flag contract: a typo'd flag or a malformed value must stop
+// A bench that records no sections still honours --json: the envelope is
+// written with an empty sections object, not silently dropped.
+TEST(BenchJsonEnvelope, TableOnlyBenchWritesEmptySections) {
+  if (!file_exists(kDriver))
+    GTEST_SKIP() << kDriver << " not built (benches disabled?)";
+  const auto doc = run_and_parse("fig5_llama70b");
+  ASSERT_TRUE(doc.has_value()) << "bench wrote no or unparseable JSON";
+  expect_envelope(*doc, "fig5_llama70b");
+  if (HasFatalFailure()) return;
+  EXPECT_TRUE(doc->find("sections")->as_object().empty());
+}
+
+// The driver parses the flags once for every bench, so one bench covers
+// the flag contract: a missing or unknown bench name, a typo'd flag, a
+// malformed value, or --trace on a bench that does not trace must stop
 // the run (exit 2) rather than silently run some other configuration.
 TEST(BenchFlags, MalformedFlagsExitWithUsageError) {
-  const std::string binary = std::string(LLMQ_BIN_DIR) + "/bench_table2_phr";
-  if (!file_exists(binary))
-    GTEST_SKIP() << binary << " not built (benches disabled?)";
-  // Each line would run a small, valid config if its bad flag were
+  if (!file_exists(kDriver))
+    GTEST_SKIP() << kDriver << " not built (benches disabled?)";
+  // Each line would run a small, valid config if its bad argument were
   // ignored, so a lenient parser fails fast here instead of hanging.
   for (const char* args :
-       {"--scale 0.01 --bogus", "--scale abc", "--scale 0.01 --scale",
-        "--scale 0", "--scale -0.5", "--scale 0.01x", "--scale nan",
-        "--scale 0.01 --seed 12x", "--scale 0.01 --seed -3",
-        "--scale 0.01 --json"}) {
-    const std::string cmd = binary + " " + args + " > /dev/null 2>&1";
-    const int status = std::system(cmd.c_str());
-    ASSERT_TRUE(WIFEXITED(status)) << cmd;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
-  }
+       {"table2_phr --scale 0.01 --bogus", "table2_phr --scale abc",
+        "table2_phr --scale 0.01 --scale", "table2_phr --scale 0",
+        "table2_phr --scale -0.5", "table2_phr --scale 0.01x",
+        "table2_phr --scale nan", "table2_phr --scale 0.01 --seed 12x",
+        "table2_phr --scale 0.01 --seed -3", "table2_phr --scale 0.01 --json",
+        "--scale 0.01", "no_such_bench --scale 0.01",
+        "table2_phr --scale 0.01 --trace /dev/null"})
+    EXPECT_EQ(run_driver(args), 2) << "llmq_bench " << args;
 }
 
 }  // namespace

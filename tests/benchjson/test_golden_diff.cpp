@@ -52,7 +52,7 @@ struct DiffKey {
 };
 
 struct GoldenSpec {
-  const char* binary;
+  const char* name;    // registry name: `llmq_bench <name>`
   const char* golden;  // filename at the repo root
   std::vector<DiffKey> keys;
 };
@@ -61,7 +61,7 @@ const std::vector<GoldenSpec>& golden_specs() {
   // PHR compares absolutely (it is already a fraction); latency tails
   // relatively, floored at 1 ms so near-zero arms don't demand exactness.
   static const std::vector<GoldenSpec> specs = {
-      {"bench_serving_online",
+      {"serving_online",
        "BENCH_serving_online.json",
        {{"rate_policy", "phr", false, 0.02},
         {"rate_policy", "p99_ttft_s", true, 0.10},
@@ -69,12 +69,12 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"deadline_sweep", "phr", false, 0.02},
         {"deadline_sweep", "p99_ttft_s", true, 0.10},
         {"burstiness", "phr", false, 0.02}}},
-      {"bench_chunked_prefill",
+      {"chunked_prefill",
        "BENCH_chunked_prefill.json",
        {{"chunk_mix_sweep", "interactive_p99_ttft_s", true, 0.10},
         {"chunk_mix_sweep", "interactive_p99_itl_s", true, 0.10},
         {"chunk_mix_sweep", "goodput_rps", true, 0.10}}},
-      {"bench_serving_router",
+      {"serving_router",
        "BENCH_serving_router.json",
        {{"replicas_policy", "agg_phr", false, 0.02},
         {"replicas_policy", "p50_ttft_s", true, 0.10},
@@ -85,7 +85,7 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"policy_rate", "agg_phr", false, 0.02},
         {"policy_rate", "p99_ttft_s", true, 0.10},
         {"policy_rate", "goodput_rps", true, 0.10}}},
-      {"bench_priority_preemption",
+      {"priority_preemption",
        "BENCH_priority_preemption.json",
        {{"overload", "agg_phr", false, 0.02},
         {"overload", "interactive_p99_ttft_s", true, 0.10},
@@ -99,7 +99,7 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"aging_sweep", "batch_p99_e2e_s", true, 0.10},
         {"aging_sweep", "batch_completed", true, 0.10},
         {"aging_sweep", "preemptions", true, 0.10}}},
-      {"bench_concurrent_queries",
+      {"concurrent_queries",
        "BENCH_concurrent_queries.json",
        {{"queries_router", "agg_phr", false, 0.02},
         {"queries_router", "effective_hit_fraction", false, 0.02},
@@ -112,7 +112,7 @@ const std::vector<GoldenSpec>& golden_specs() {
       // (requests, turn spawns, audit verdict, completions) are exact;
       // PHR and tails use the standard bands; predictor means are exact
       // up to the absolute band (pure EWMA replay, no simulation noise).
-      {"bench_scenarios",
+      {"scenarios",
        "BENCH_scenarios.json",
        {{"session_turns", "agg_phr", false, 0.02},
         {"session_turns", "requests", false, 0.0},
@@ -135,7 +135,7 @@ const std::vector<GoldenSpec>& golden_specs() {
       // child index 10x+), not a precision perf gate. The same-run ratio
       // gates (expect_micro_ratios_hold) cover those catastrophes on
       // every host.
-      {"bench_micro",
+      {"micro",
        "BENCH_micro.json",
        {{"token_ops", "hash_check", false, 0.0},
         {"token_ops", "lcp_us", true, 1.0, true},
@@ -154,7 +154,7 @@ const std::vector<GoldenSpec>& golden_specs() {
       // bench itself (it exits nonzero on violation), so the golden pins
       // the magnitudes. Audit verdicts are exact — a band on a boolean
       // hides a broken invariant.
-      {"bench_tiered_cache",
+      {"tiered_cache",
        "BENCH_tiered_cache.json",
        {{"tiers_vs_flat", "agg_phr", false, 0.02},
         {"tiers_vs_flat", "interactive_p99_ttft_s", true, 0.10},
@@ -264,17 +264,17 @@ class BenchGoldenDiff : public ::testing::TestWithParam<GoldenSpec> {};
 
 TEST_P(BenchGoldenDiff, HeadlineNumbersMatchSnapshotWithinTolerance) {
   const GoldenSpec& spec = GetParam();
-  const std::string binary = std::string(LLMQ_BIN_DIR) + "/" + spec.binary;
-  if (!file_exists(binary))
-    GTEST_SKIP() << binary << " not built (benches disabled?)";
+  const std::string driver = std::string(LLMQ_BIN_DIR) + "/llmq_bench";
+  if (!file_exists(driver))
+    GTEST_SKIP() << driver << " not built (benches disabled?)";
 
   const std::string golden_path =
       std::string(LLMQ_REPO_ROOT) + "/" + spec.golden;
   const auto golden = parse_file(golden_path);
   ASSERT_TRUE(golden.has_value())
-      << spec.golden << " missing or unparseable — regenerate with `"
-      << spec.binary << " --scale <s> --seed <n> --json " << spec.golden
-      << "`";
+      << spec.golden << " missing or unparseable — regenerate with "
+      << "`llmq_bench " << spec.name << " --scale <s> --seed <n> --json "
+      << spec.golden << "`";
 
   // Re-run at the snapshot's own scale/seed (read from its envelope, so
   // regenerating a golden at a new scale needs no test edit).
@@ -285,9 +285,9 @@ TEST_P(BenchGoldenDiff, HeadlineNumbersMatchSnapshotWithinTolerance) {
   char scale_buf[32];
   std::snprintf(scale_buf, sizeof scale_buf, "%.17g", scale->as_number());
   const std::string out_path =
-      ::testing::TempDir() + "llmq_golden_rerun_" + spec.binary + ".json";
+      ::testing::TempDir() + "llmq_golden_rerun_" + spec.name + ".json";
   const std::string cmd =
-      binary + " --scale " + scale_buf + " --seed " +
+      driver + " " + spec.name + " --scale " + scale_buf + " --seed " +
       std::to_string(static_cast<long long>(seed->as_number())) + " --json " +
       out_path + " > /dev/null 2>&1";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
@@ -322,13 +322,13 @@ TEST_P(BenchGoldenDiff, HeadlineNumbersMatchSnapshotWithinTolerance) {
           << "); if intentional, regenerate it";
     }
   }
-  if (std::string(spec.binary) == "bench_micro")
+  if (std::string(spec.name) == "micro")
     expect_micro_ratios_hold(*gsec, *fsec);
   std::remove(out_path.c_str());
 }
 
 std::string spec_name(const ::testing::TestParamInfo<GoldenSpec>& info) {
-  return info.param.binary;
+  return std::string("bench_") + info.param.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(CommittedGoldens, BenchGoldenDiff,

@@ -36,6 +36,10 @@ TEST(Csv, UnterminatedQuoteThrows) {
   EXPECT_THROW(from_csv("a\n\"oops\n"), std::runtime_error);
 }
 
+TEST(Csv, DuplicateHeaderThrowsRuntimeError) {
+  EXPECT_THROW(from_csv("a,b,a\n1,2,3\n"), std::runtime_error);
+}
+
 TEST(Csv, EmptyInputThrows) {
   EXPECT_THROW(from_csv(""), std::runtime_error);
 }
