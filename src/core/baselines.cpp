@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <string_view>
-#include <unordered_map>
-
-#include "tokenizer/tokenizer.hpp"
 
 namespace llmq::core {
 
@@ -24,8 +20,15 @@ SubOrdering stats_fixed_subordering(
     const table::Table& t, const std::vector<std::uint32_t>& rows,
     const std::vector<std::uint32_t>& cols,
     const std::vector<std::vector<std::size_t>>* closures) {
-  const auto& tok = tokenizer::global_tokenizer();
+  // Unit lengths: the ranking reads token counts, not the view's lengths.
+  return stats_fixed_subordering(CellLengths(t, LengthMeasure::Unit), rows,
+                                 cols, closures);
+}
 
+SubOrdering stats_fixed_subordering(
+    const CellLengths& cells, const std::vector<std::uint32_t>& rows,
+    const std::vector<std::uint32_t>& cols,
+    const std::vector<std::vector<std::size_t>>* closures) {
   // Per-column expected score over just these rows.
   struct ColScore {
     std::size_t col;
@@ -33,25 +36,29 @@ SubOrdering stats_fixed_subordering(
   };
   std::vector<ColScore> scored;
   scored.reserve(cols.size());
+  std::vector<std::uint32_t> ids(rows.size());
   for (auto c : cols) {
-    std::unordered_map<std::string_view, std::size_t> counts;
+    // Distinct values and their counts: sort the column's ids, then walk
+    // the runs. Every term is an integer, so the sum is exact in any order.
+    for (std::size_t i = 0; i < rows.size(); ++i) ids[i] = cells.id(rows[i], c);
+    std::sort(ids.begin(), ids.end());
     double sum_sq = 0.0;
-    for (auto r : rows) {
-      const std::string& v = t.cell(r, c);
-      ++counts[v];
-    }
-    for (const auto& [v, cnt] : counts) {
-      const double l = static_cast<double>(tok.count(v));
-      sum_sq += l * l * static_cast<double>(cnt);
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < ids.size();) {
+      std::size_t j = i;
+      while (j < ids.size() && ids[j] == ids[i]) ++j;
+      const double l = static_cast<double>(cells.token_count(ids[i]));
+      sum_sq += l * l * static_cast<double>(j - i);
+      ++distinct;
+      i = j;
     }
     const double avg_sq =
         rows.empty() ? 0.0 : sum_sq / static_cast<double>(rows.size());
     const double repeats =
-        counts.empty()
-            ? 0.0
-            : static_cast<double>(rows.size()) /
-                      static_cast<double>(counts.size()) -
-                  1.0;
+        distinct == 0 ? 0.0
+                      : static_cast<double>(rows.size()) /
+                                static_cast<double>(distinct) -
+                            1.0;
     scored.push_back(ColScore{c, repeats > 0.0 ? avg_sq * repeats : 0.0});
   }
   std::stable_sort(scored.begin(), scored.end(),
@@ -68,8 +75,8 @@ SubOrdering stats_fixed_subordering(
     // that repeat together stay adjacent, so a value match extends through
     // the whole dependent run instead of breaking on an interleaved
     // unrelated field.
-    std::vector<bool> emitted(t.num_cols(), false);
-    std::vector<bool> in_view(t.num_cols(), false);
+    std::vector<bool> emitted(cells.num_cols(), false);
+    std::vector<bool> in_view(cells.num_cols(), false);
     for (auto c : cols) in_view[c] = true;
     auto emit = [&](std::size_t c) {
       if (!in_view[c] || emitted[c]) return;
@@ -87,8 +94,10 @@ SubOrdering stats_fixed_subordering(
   std::stable_sort(out.row_order.begin(), out.row_order.end(),
                    [&](std::size_t a, std::size_t b) {
                      for (std::size_t f : out.field_order) {
-                       const auto cmp = t.cell(a, f).compare(t.cell(b, f));
-                       if (cmp != 0) return cmp < 0;
+                       const std::uint32_t x = cells.id(a, f);
+                       const std::uint32_t y = cells.id(b, f);
+                       if (x == y) continue;
+                       return cells.str(x) < cells.str(y);
                      }
                      return false;
                    });

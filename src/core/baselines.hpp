@@ -3,6 +3,7 @@
 // that GGR falls back to on early stopping (§4.2.2).
 
 #include "core/ordering.hpp"
+#include "core/phc.hpp"
 #include "table/stats.hpp"
 #include "table/table.hpp"
 #include "util/rng.hpp"
@@ -33,6 +34,13 @@ struct SubOrdering {
 /// the fixed order.
 SubOrdering stats_fixed_subordering(
     const table::Table& t, const std::vector<std::uint32_t>& rows,
+    const std::vector<std::uint32_t>& cols,
+    const std::vector<std::vector<std::size_t>>* closures = nullptr);
+
+/// Same over the rows of `cells` (view positions; GGR's fallback). Only
+/// its ids and token counts are read, never its lengths.
+SubOrdering stats_fixed_subordering(
+    const CellLengths& cells, const std::vector<std::uint32_t>& rows,
     const std::vector<std::uint32_t>& cols,
     const std::vector<std::vector<std::size_t>>* closures = nullptr);
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <string_view>
-#include <unordered_map>
+#include <numeric>
 
 #include "core/baselines.hpp"
 
@@ -24,22 +23,25 @@ struct NodeResult {
   std::vector<RowPlan> plans;
 };
 
-/// A candidate group: rows of the view sharing `value` in column `col`.
+/// A candidate group: rows of the view sharing value `value` (a local id
+/// of the view's CellLengths) in column `col`.
 struct Candidate {
   std::uint32_t col = 0;          // original column index
   std::size_t col_view_pos = 0;   // position of col within the view
-  std::string_view value;
+  std::uint32_t value = 0;
   std::vector<std::uint32_t> rows;
   double hitcount = 0.0;
 };
 
 class GgrSolver {
  public:
+  /// `lengths` is the view being planned; `t` supplies the schema.
   GgrSolver(const table::Table& t, const table::FdSet& fds,
             const CellLengths& lengths, const GgrOptions& opts,
             GgrCounters& counters)
-      : t_(t), fds_(fds), lengths_(lengths), opts_(opts), counters_(counters) {
-    in_group_.assign(t.num_rows(), 0);
+      : fds_(fds), lengths_(lengths), opts_(opts), counters_(counters) {
+    in_group_.assign(lengths.num_rows(), 0);
+    group_of_.assign(lengths.num_values(), kNoGroup);
     // Precompute FD closures per column (against the full schema).
     closures_.resize(t.num_cols());
     if (opts_.use_fds) {
@@ -137,8 +139,8 @@ class GgrSolver {
     // deterministic, grouped emission (Algorithm 1 line 15's sort).
     std::vector<Candidate> groups = collect_groups(rows, {col});
     std::sort(groups.begin(), groups.end(),
-              [](const Candidate& x, const Candidate& y) {
-                return x.value < y.value;
+              [this](const Candidate& x, const Candidate& y) {
+                return lengths_.str(x.value) < lengths_.str(y.value);
               });
     NodeResult res;
     for (const auto& g : groups) {
@@ -153,24 +155,26 @@ class GgrSolver {
   /// without HITCOUNT scores.
   std::vector<Candidate> collect_groups(
       const std::vector<std::uint32_t>& rows,
-      const std::vector<std::uint32_t>& cols) const {
+      const std::vector<std::uint32_t>& cols) {
     std::vector<Candidate> out;
     for (std::size_t ci = 0; ci < cols.size(); ++ci) {
       const std::uint32_t col = cols[ci];
-      std::unordered_map<std::string_view, std::size_t> idx;
-      idx.reserve(rows.size() * 2);
+      const std::size_t first = out.size();
       for (auto r : rows) {
-        const std::string& v = t_.cell(r, col);
-        auto [it, inserted] = idx.try_emplace(v, out.size());
-        if (inserted) {
+        const std::uint32_t v = lengths_.id(r, col);
+        if (group_of_[v] == kNoGroup) {
+          group_of_[v] = static_cast<std::uint32_t>(out.size());
           Candidate c;
           c.col = col;
           c.col_view_pos = ci;
           c.value = v;
           out.push_back(std::move(c));
         }
-        out[it->second].rows.push_back(r);
+        out[group_of_[v]].rows.push_back(r);
       }
+      // Reset only the entries this column set.
+      for (std::size_t g = first; g < out.size(); ++g)
+        group_of_[out[g].value] = kNoGroup;
     }
     return out;
   }
@@ -203,7 +207,8 @@ class GgrSolver {
            (g.rows.size() > best.rows.size() ||
             (g.rows.size() == best.rows.size() &&
              (g.col_view_pos < best.col_view_pos ||
-              (g.col_view_pos == best.col_view_pos && g.value < best.value)))))) {
+              (g.col_view_pos == best.col_view_pos &&
+               lengths_.str(g.value) < lengths_.str(best.value))))))) {
         best = std::move(g);
         have = true;
       }
@@ -221,7 +226,7 @@ class GgrSolver {
     std::vector<std::size_t> field_order;
     if (opts_.stats_fallback) {
       SubOrdering sub = stats_fixed_subordering(
-          t_, rows, cols, opts_.use_fds ? &closures_ : nullptr);
+          lengths_, rows, cols, opts_.use_fds ? &closures_ : nullptr);
       row_order = std::move(sub.row_order);
       field_order = std::move(sub.field_order);
     } else {
@@ -231,7 +236,8 @@ class GgrSolver {
     // Exact positional PHC of this fixed sub-ordering (cheap single pass).
     for (std::size_t i = 1; i < row_order.size(); ++i) {
       for (std::size_t f : field_order) {
-        if (t_.cell(row_order[i], f) != t_.cell(row_order[i - 1], f)) break;
+        if (lengths_.id(row_order[i], f) != lengths_.id(row_order[i - 1], f))
+          break;
         res.s += lengths_.sq_len(row_order[i], f);
       }
     }
@@ -240,34 +246,38 @@ class GgrSolver {
     return res;
   }
 
-  const table::Table& t_;
+  static constexpr std::uint32_t kNoGroup = UINT32_MAX;
+
   const table::FdSet& fds_;
   const CellLengths& lengths_;
   const GgrOptions& opts_;
   GgrCounters& counters_;
   std::vector<std::vector<std::size_t>> closures_;
   std::vector<char> in_group_;  // per-row membership scratch for solve()
+  /// Per-value scratch for collect_groups: candidate index of each value
+  /// in the column being scanned, kNoGroup otherwise.
+  std::vector<std::uint32_t> group_of_;
 };
 
 }  // namespace
 
-GgrResult ggr(const table::Table& t, const table::FdSet& fds,
-              const GgrOptions& options) {
-  if (t.num_rows() == 0) throw std::invalid_argument("ggr: empty table");
+GgrResult ggr(const table::Table& t, std::span<const std::size_t> rows,
+              const table::FdSet& fds, const GgrOptions& options) {
+  if (rows.empty()) throw std::invalid_argument("ggr: empty table");
   const auto start = Clock::now();
 
-  const CellLengths lengths(t, options.measure);
+  const CellLengths lengths(t, rows, options.measure);
   GgrResult out;
   GgrSolver solver(t, fds, lengths, options, out.counters);
 
-  std::vector<std::uint32_t> rows(t.num_rows());
-  for (std::size_t r = 0; r < t.num_rows(); ++r)
-    rows[r] = static_cast<std::uint32_t>(r);
+  std::vector<std::uint32_t> view(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    view[r] = static_cast<std::uint32_t>(r);
   std::vector<std::uint32_t> cols(t.num_cols());
   for (std::size_t c = 0; c < t.num_cols(); ++c)
     cols[c] = static_cast<std::uint32_t>(c);
 
-  NodeResult res = solver.solve(rows, cols, 0, 0);
+  NodeResult res = solver.solve(view, cols, 0, 0);
 
   std::vector<std::size_t> row_order;
   std::vector<std::vector<std::size_t>> field_orders;
@@ -279,10 +289,17 @@ GgrResult ggr(const table::Table& t, const table::FdSet& fds,
   }
   out.ordering = Ordering(std::move(row_order), std::move(field_orders));
   out.estimated_phc = res.s;
-  out.phc = phc_with_lengths(t, lengths, out.ordering);
+  out.phc = phc_with_lengths(lengths, out.ordering);
   out.solve_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   return out;
+}
+
+GgrResult ggr(const table::Table& t, const table::FdSet& fds,
+              const GgrOptions& options) {
+  std::vector<std::size_t> rows(t.num_rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  return ggr(t, rows, fds, options);
 }
 
 GgrResult ggr(const table::Table& t, const GgrOptions& options) {

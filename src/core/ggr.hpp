@@ -21,6 +21,7 @@
 // PHC units (set `square_inferred_lengths=false` for the literal line 6).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/ordering.hpp"
@@ -78,6 +79,12 @@ struct GgrResult {
 
 GgrResult ggr(const table::Table& t, const table::FdSet& fds,
               const GgrOptions& options = {});
+
+/// GGR over a view of `t`: plans the rows `rows` (table indices) and
+/// returns an ordering over positions in `rows`, exactly as
+/// ggr(t.take_rows(rows), ...) would, without copying the rows.
+GgrResult ggr(const table::Table& t, std::span<const std::size_t> rows,
+              const table::FdSet& fds, const GgrOptions& options = {});
 
 /// Convenience: no FDs.
 GgrResult ggr(const table::Table& t, const GgrOptions& options = {});

@@ -17,6 +17,8 @@
 // equation and is kept for analysis (see DESIGN.md §7).
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/ordering.hpp"
@@ -35,11 +37,22 @@ enum class MatchMode {
   ValueOnly,      // literal Eq. 2: positions match iff equal value
 };
 
-/// Precomputed per-cell lengths for a table; computing token counts once
-/// per distinct value makes repeated PHC evaluation cheap inside planners.
+/// Per-cell value ids and lengths of a table, or of a view of its rows
+/// (view position i is row rows[i] of the table). Planners and PHC read
+/// only this: cells compare by id, and lengths come from the dictionary's
+/// cached token counts, so building one never tokenises a value twice.
+///
+/// Ids are local to the view: dense in [0, num_values()), numbered in
+/// first-seen order (column by column), with one local id per distinct
+/// string. Scratch arrays indexed by local id stay as small as the view.
 class CellLengths {
  public:
   CellLengths(const table::Table& t, LengthMeasure measure);
+  CellLengths(const table::Table& t, std::span<const std::size_t> rows,
+              LengthMeasure measure);
+
+  std::size_t num_rows() const { return n_rows_; }
+  std::size_t num_cols() const { return n_cols_; }
 
   double len(std::size_t row, std::size_t col) const {
     return len_[row * n_cols_ + col];
@@ -50,8 +63,25 @@ class CellLengths {
   }
   LengthMeasure measure() const { return measure_; }
 
+  /// Local value id of the cell; equal ids <=> equal strings.
+  std::uint32_t id(std::size_t row, std::size_t col) const {
+    return ids_[row * n_cols_ + col];
+  }
+  std::size_t num_values() const { return values_.size(); }
+  /// String and raw token count of local value `id`.
+  const std::string& str(std::uint32_t id) const {
+    return dict_->str(values_[id]);
+  }
+  std::uint32_t token_count(std::uint32_t id) const {
+    return dict_->token_count(values_[id]);
+  }
+
  private:
+  std::vector<std::uint32_t> ids_;
   std::vector<double> len_;
+  std::vector<table::ValueId> values_;  // local id -> dictionary id
+  const table::ValueDict* dict_;
+  std::size_t n_rows_;
   std::size_t n_cols_;
   LengthMeasure measure_;
 };
@@ -74,14 +104,20 @@ double phc(const table::Table& t, const Ordering& ordering,
            LengthMeasure measure = LengthMeasure::Tokens,
            MatchMode mode = MatchMode::FieldAndValue);
 
+/// PHC of `ordering` over a view of `t`: the ordering's rows are positions
+/// in `rows` (so phc(t, rows, o) == phc(t.take_rows(rows), o)).
+double phc(const table::Table& t, std::span<const std::size_t> rows,
+           const Ordering& ordering,
+           LengthMeasure measure = LengthMeasure::Tokens,
+           MatchMode mode = MatchMode::FieldAndValue);
+
 /// Same, with per-row detail.
 PhcBreakdown phc_breakdown(const table::Table& t, const Ordering& ordering,
                            LengthMeasure measure = LengthMeasure::Tokens,
                            MatchMode mode = MatchMode::FieldAndValue);
 
 /// PHC evaluated against precomputed lengths (planner hot path).
-double phc_with_lengths(const table::Table& t, const CellLengths& lengths,
-                        const Ordering& ordering,
+double phc_with_lengths(const CellLengths& lengths, const Ordering& ordering,
                         MatchMode mode = MatchMode::FieldAndValue);
 
 /// Token-level prefix hit rate of a serialized request stream: for each

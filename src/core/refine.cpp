@@ -9,7 +9,7 @@ namespace {
 
 /// Positional hit between the scheduled rows at output positions pos-1 and
 /// pos (FieldAndValue semantics, matching the default PHC metric).
-double adjacency_hit(const table::Table& t, const CellLengths& lengths,
+double adjacency_hit(const CellLengths& lengths,
                      const std::vector<std::size_t>& rows,
                      const std::vector<std::vector<std::size_t>>& fields,
                      std::size_t pos) {
@@ -19,7 +19,8 @@ double adjacency_hit(const table::Table& t, const CellLengths& lengths,
   double hit = 0.0;
   for (std::size_t f = 0; f < cur_f.size(); ++f) {
     if (prev_f[f] != cur_f[f]) break;
-    if (t.cell(rows[pos], cur_f[f]) != t.cell(rows[pos - 1], prev_f[f])) break;
+    if (lengths.id(rows[pos], cur_f[f]) != lengths.id(rows[pos - 1], prev_f[f]))
+      break;
     hit += lengths.sq_len(rows[pos], cur_f[f]);
   }
   return hit;
@@ -68,14 +69,14 @@ RefineResult refine_ordering(const table::Table& t, Ordering start,
   const CellLengths lengths(t, options.measure);
 
   RefineResult out;
-  out.phc_before = phc_with_lengths(t, lengths, start);
+  out.phc_before = phc_with_lengths(lengths, start);
 
   std::vector<std::size_t> rows = start.row_order();
   std::vector<std::vector<std::size_t>> fields = start.field_orders();
   const std::size_t n = rows.size();
 
   auto hit = [&](std::size_t pos) {
-    return adjacency_hit(t, lengths, rows, fields, pos);
+    return adjacency_hit(lengths, rows, fields, pos);
   };
 
   for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
@@ -129,7 +130,7 @@ RefineResult refine_ordering(const table::Table& t, Ordering start,
   }
 
   out.ordering = Ordering(std::move(rows), std::move(fields));
-  out.phc_after = phc_with_lengths(t, lengths, out.ordering);
+  out.phc_after = phc_with_lengths(lengths, out.ordering);
   out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   return out;
 }

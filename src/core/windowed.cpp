@@ -26,9 +26,7 @@ WindowedResult windowed_ggr(const table::Table& t, const table::FdSet& fds,
     const std::size_t end = std::min(n, begin + window);
     std::vector<std::size_t> window_rows(end - begin);
     std::iota(window_rows.begin(), window_rows.end(), begin);
-    const table::Table sub = t.take_rows(window_rows);
-
-    GgrResult res = ggr(sub, fds, options.ggr);
+    GgrResult res = ggr(t, window_rows, fds, options.ggr);
     for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
       // Remap window-local row ids back to the full table.
       row_order.push_back(begin + res.ordering.row_at(pos));

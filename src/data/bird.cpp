@@ -41,14 +41,7 @@ Dataset generate_bird(const GenOptions& opt) {
   // Appendix-B order: Body, PostDate, PostId, Text.
   d.table = joined.project(std::vector<std::string>{"Body", "PostDate", "fk",
                                                     "Text"});
-  {
-    std::vector<table::Field> fields = d.table.schema().fields();
-    fields[2].name = "PostId";
-    table::Table renamed{table::Schema(fields)};
-    for (std::size_t r = 0; r < d.table.num_rows(); ++r)
-      renamed.append_row(d.table.row(r));
-    d.table = std::move(renamed);
-  }
+  d.table.rename_field(2, "PostId");
   d.fds.add_group({"Body", "PostId"});
   d.fds.add("PostId", "PostDate");
   d.fds.add("Body", "PostDate");

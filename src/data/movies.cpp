@@ -69,14 +69,7 @@ Dataset generate_movies(const GenOptions& opt) {
       "genres", "movieinfo", "movietitle_fk", "productioncompany",
       "reviewcontent", "reviewtype", "rottentomatoeslink", "topcritic"});
   // Restore the paper's field name for the join key column.
-  {
-    std::vector<table::Field> fields = d.table.schema().fields();
-    fields[2].name = "movietitle";
-    table::Table renamed{table::Schema(fields)};
-    for (std::size_t r = 0; r < d.table.num_rows(); ++r)
-      renamed.append_row(d.table.row(r));
-    d.table = std::move(renamed);
-  }
+  d.table.rename_field(2, "movietitle");
 
   d.fds.add_group({"movieinfo", "movietitle", "rottentomatoeslink"});
 

@@ -48,14 +48,7 @@ Dataset generate_products(const GenOptions& opt) {
   d.table = joined.project(std::vector<std::string>{
       "description", "id", "fk", "product_title", "rating", "review_title",
       "text", "verified_purchase"});
-  {
-    std::vector<table::Field> fields = d.table.schema().fields();
-    fields[2].name = "parent_asin";
-    table::Table renamed{table::Schema(fields)};
-    for (std::size_t r = 0; r < d.table.num_rows(); ++r)
-      renamed.append_row(d.table.row(r));
-    d.table = std::move(renamed);
-  }
+  d.table.rename_field(2, "parent_asin");
   d.fds.add_group({"parent_asin", "product_title"});
   // Product description is determined by the product as well.
   d.fds.add("parent_asin", "description");

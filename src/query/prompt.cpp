@@ -1,5 +1,7 @@
 #include "query/prompt.hpp"
 
+#include <stdexcept>
+
 #include "util/json.hpp"
 
 namespace llmq::query {
@@ -30,7 +32,23 @@ std::string render_prompt(const PromptTemplate& tmpl, const table::Table& t,
   return render_instruction_prefix(tmpl) + render_row_json(t, row, field_order);
 }
 
-PromptEncoder::PromptEncoder(PromptTemplate tmpl) : tmpl_(std::move(tmpl)) {
+namespace {
+
+tokenizer::TokenId single_token(std::string_view punct) {
+  const tokenizer::TokenSeq seq = tokenizer::global_tokenizer().encode(punct);
+  if (seq.size() != 1)
+    throw std::logic_error("PromptEncoder: JSON punctuation is not one token");
+  return seq[0];
+}
+
+}  // namespace
+
+PromptEncoder::PromptEncoder(PromptTemplate tmpl)
+    : tmpl_(std::move(tmpl)),
+      open_(single_token("{")),
+      close_(single_token("}")),
+      colon_(single_token(":")),
+      comma_(single_token(",")) {
   prefix_tokens_ =
       tokenizer::global_tokenizer().encode(render_instruction_prefix(tmpl_));
 }
@@ -38,9 +56,19 @@ PromptEncoder::PromptEncoder(PromptTemplate tmpl) : tmpl_(std::move(tmpl)) {
 tokenizer::TokenSeq PromptEncoder::encode(
     const table::Table& t, std::size_t row,
     std::span<const std::size_t> field_order) const {
-  tokenizer::TokenSeq out = prefix_tokens_;
-  tokenizer::global_tokenizer().encode_append(
-      render_row_json(t, row, field_order), out);
+  const table::ValueDict& dict = t.dict();
+  tokenizer::TokenSeq out;
+  out.reserve(prefix_tokens_.size() + 16 * field_order.size() + 2);
+  out.assign(prefix_tokens_.begin(), prefix_tokens_.end());
+  out.push_back(open_);
+  for (std::size_t i = 0; i < field_order.size(); ++i) {
+    const std::size_t f = field_order[i];
+    if (i > 0) out.push_back(comma_);
+    dict.append_json_tokens(t.field_id(f), out);
+    out.push_back(colon_);
+    dict.append_json_tokens(t.cell_id(row, f), out);
+  }
+  out.push_back(close_);
   return out;
 }
 

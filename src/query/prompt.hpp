@@ -37,8 +37,13 @@ std::string render_prompt(const PromptTemplate& tmpl, const table::Table& t,
                           std::size_t row,
                           std::span<const std::size_t> field_order);
 
-/// Tokenized prompt; uses a precomputed instruction-prefix encoding so per
-/// row work is proportional to the row's own content.
+/// Tokenized prompt, assembled without rendering text. The result equals
+/// the instruction-prefix encoding followed by
+/// encode(render_row_json(t, row, field_order)): the row JSON is the
+/// tokens of `{`, then per field the key span (the field name's quoted
+/// literal, then `:`) and the value span, with `,` between fields, then
+/// `}`. Every span is token-aligned (table/value_dict.hpp) and cached in
+/// t's dictionary, so a repeated value is tokenised once per dictionary.
 class PromptEncoder {
  public:
   PromptEncoder(PromptTemplate tmpl);
@@ -51,6 +56,7 @@ class PromptEncoder {
  private:
   PromptTemplate tmpl_;
   tokenizer::TokenSeq prefix_tokens_;
+  tokenizer::TokenId open_, close_, colon_, comma_;
 };
 
 }  // namespace llmq::query

@@ -30,12 +30,16 @@ class VectorIndex {
   };
 
   /// Top-k by cosine similarity, descending; ties broken by lower id.
+  /// Each score is bit-identical to cosine_similarity(query, doc): the
+  /// norms are the same double sums, taken once per vector at add() and
+  /// once per query, so a score costs one multiply-add per element.
   std::vector<Hit> search(std::string_view query, std::size_t k) const;
 
  private:
   Embedder embedder_;
   std::vector<std::string> docs_;
   std::vector<Embedding> vectors_;
+  std::vector<double> norms_;  // sqrt(|v|^2) per vector
 };
 
 }  // namespace llmq::rag

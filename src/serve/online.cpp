@@ -370,7 +370,7 @@ class StreamSource final : public FleetSource {
     arrival_rows.reserve(arrivals_.size() + spawned_.size());
     for (const Arrival& a : arrivals_) arrival_rows.push_back(a.row);
     for (const Arrival& a : spawned_) arrival_rows.push_back(a.row);
-    out_.phc = core::phc(t_.take_rows(arrival_rows), out_.emitted,
+    out_.phc = core::phc(t_, arrival_rows, out_.emitted,
                          config_.scheduler.ggr.measure);
   }
 

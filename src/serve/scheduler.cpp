@@ -128,8 +128,7 @@ void OnlineScheduler::plan_into(Window& w, std::vector<Arrival> batch) const {
       std::vector<std::size_t> rows;
       rows.reserve(batch.size());
       for (const auto& a : batch) rows.push_back(a.row);
-      const table::Table sub = table_.take_rows(rows);
-      const core::GgrResult res = core::ggr(sub, fds_, opt_.ggr);
+      const core::GgrResult res = core::ggr(table_, rows, fds_, opt_.ggr);
       w.solve_seconds += res.solve_seconds;
       for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
         w.arrivals.push_back(batch[res.ordering.row_at(pos)]);
@@ -151,8 +150,7 @@ void OnlineScheduler::plan_into(Window& w, std::vector<Arrival> batch) const {
         std::vector<std::size_t> rows;
         rows.reserve(idx.size());
         for (std::size_t i : idx) rows.push_back(batch[i].row);
-        const table::Table sub = table_.take_rows(rows);
-        const core::GgrResult res = core::ggr(sub, fds_, opt_.ggr);
+        const core::GgrResult res = core::ggr(table_, rows, fds_, opt_.ggr);
         w.solve_seconds += res.solve_seconds;
         for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
           w.arrivals.push_back(batch[idx[res.ordering.row_at(pos)]]);

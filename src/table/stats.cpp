@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 namespace llmq::table {
 
@@ -24,20 +23,26 @@ std::vector<std::size_t> TableStats::fields_by_expected_score() const {
 }
 
 TableStats compute_stats(const Table& t) {
-  const auto& tok = tokenizer::global_tokenizer();
+  const ValueDict& dict = t.dict();
   TableStats out;
   out.n_rows = t.num_rows();
   out.columns.reserve(t.num_cols());
+  // Per-id occurrence counts; `seen` lists each column's distinct ids.
+  std::vector<std::size_t> counts(dict.size(), 0);
+  std::vector<ValueId> seen;
   for (std::size_t c = 0; c < t.num_cols(); ++c) {
     ColumnStats cs;
     cs.name = t.schema().field(c).name;
-    std::unordered_map<std::string_view, std::size_t> counts;
-    counts.reserve(t.num_rows() * 2);
-    for (const auto& v : t.column(c)) ++counts[v];
-    cs.cardinality = counts.size();
+    seen.clear();
+    for (ValueId id : t.column_ids(c))
+      if (counts[id]++ == 0) seen.push_back(id);
+    cs.cardinality = seen.size();
+    // Every term is an integer, so the sums are exact in any order.
     double sum_len = 0.0, sum_sq = 0.0;
-    for (const auto& [value, count] : counts) {
-      const auto len = static_cast<double>(tok.count(value));
+    for (ValueId id : seen) {
+      const auto len = static_cast<double>(dict.token_count(id));
+      const std::size_t count = counts[id];
+      counts[id] = 0;
       // Weight by occurrence count so stats describe rows, not the
       // distinct-value set.
       sum_len += len * static_cast<double>(count);

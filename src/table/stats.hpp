@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "table/table.hpp"
-#include "tokenizer/tokenizer.hpp"
 
 namespace llmq::table {
 
@@ -42,7 +41,8 @@ struct TableStats {
 };
 
 /// Compute statistics for every column. Token lengths use the global
-/// tokenizer (lengths are measured once per *distinct* value).
+/// tokenizer, read from the table's dictionary (each distinct value is
+/// counted once per dictionary, then cached).
 TableStats compute_stats(const Table& t);
 
 }  // namespace llmq::table

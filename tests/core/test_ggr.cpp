@@ -36,6 +36,43 @@ Table random_table(util::Rng& rng, std::size_t n, std::size_t m,
   return t;
 }
 
+TEST(Ggr, RowViewEqualsTakeRowsCopy) {
+  // The view overload must plan exactly what GGR plans on the copied
+  // sub-table: same ordering, estimate, PHC and counters, under every
+  // length measure, with the depth-limited fallback active.
+  const std::vector<std::string> pool = {"a", "b b", "ccc dd e", "a",
+                                         "longerword", "x, y", ""};
+  util::Rng rng(99);
+  Table t(Schema::of_names({"f0", "f1", "f2", "f3"}));
+  for (std::size_t r = 0; r < 60; ++r) {
+    std::vector<std::string> row;
+    for (std::size_t c = 0; c < 4; ++c)
+      row.push_back(pool[rng.next_below(c == 0 ? pool.size() : 3)]);
+    t.append_row(std::move(row));
+  }
+  FdSet fds;
+  fds.add("f1", "f2");
+  for (const LengthMeasure m :
+       {LengthMeasure::Tokens, LengthMeasure::Chars, LengthMeasure::Unit}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<std::size_t> rows(1 + rng.next_below(t.num_rows()));
+      for (auto& r : rows) r = rng.next_below(t.num_rows());  // repeats ok
+      GgrOptions o;
+      o.measure = m;
+      const GgrResult view = ggr(t, rows, fds, o);
+      const Table sub = t.take_rows(rows);
+      const GgrResult copy = ggr(sub, fds, o);
+      EXPECT_EQ(view.ordering.row_order(), copy.ordering.row_order());
+      EXPECT_EQ(view.ordering.field_orders(), copy.ordering.field_orders());
+      EXPECT_EQ(view.phc, copy.phc);
+      EXPECT_EQ(view.estimated_phc, copy.estimated_phc);
+      EXPECT_EQ(view.counters.recursion_nodes, copy.counters.recursion_nodes);
+      EXPECT_EQ(view.counters.fallbacks, copy.counters.fallbacks);
+      EXPECT_EQ(phc(t, rows, copy.ordering, m), phc(sub, copy.ordering, m));
+    }
+  }
+}
+
 TEST(Ggr, SingleRow) {
   Table t(Schema::of_names({"a", "b"}));
   t.append_row({"x", "y"});

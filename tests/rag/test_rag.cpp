@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "rag/context_builder.hpp"
 #include "rag/embedding.hpp"
 #include "rag/vector_index.hpp"
+#include "util/rng.hpp"
 
 namespace llmq::rag {
 namespace {
@@ -70,6 +73,53 @@ TEST(VectorIndex, DeterministicTieBreakById) {
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].id, 0u);
   EXPECT_EQ(hits[1].id, 1u);
+}
+
+TEST(VectorIndex, CachedNormsKeepScoresBitIdentical) {
+  // Seeded corpus over a small vocabulary, so many documents overlap and
+  // some are empty (zero vectors).
+  const std::vector<std::string> words = {
+      "river", "bank", "money", "loan", "fish", "water", "stone", "bridge",
+      "city",  "tax",  "boat",  "rain", "gold", "trade", "road",  "market"};
+  util::Rng rng(77);
+  auto text = [&](std::size_t max_words) {
+    std::string s;
+    const std::size_t n = rng.next_below(max_words + 1);
+    for (std::size_t i = 0; i < n; ++i)
+      s += words[rng.next_below(words.size())] + " ";
+    return s;
+  };
+  const Embedder e(64);
+  VectorIndex idx{e};
+  std::vector<Embedding> docs;
+  for (int i = 0; i < 300; ++i) {
+    const std::string d = text(12);
+    docs.push_back(e.embed(d));
+    idx.add(d);
+  }
+  for (int qi = 0; qi < 40; ++qi) {
+    const std::string q = text(6);
+    const Embedding qv = e.embed(q);
+    // Reference: cosine_similarity for every document, same ordering rule.
+    std::vector<VectorIndex::Hit> want;
+    for (std::size_t i = 0; i < docs.size(); ++i)
+      want.push_back({i, cosine_similarity(qv, docs[i])});
+    std::stable_sort(want.begin(), want.end(),
+                     [](const VectorIndex::Hit& a, const VectorIndex::Hit& b) {
+                       return a.score > b.score;
+                     });
+    const auto got = idx.search(q, docs.size());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << "query " << qi << " rank " << i;
+      // Bitwise: EXPECT_EQ on floats is exact equality.
+      EXPECT_EQ(got[i].score, want[i].score) << "query " << qi << " rank " << i;
+    }
+    const auto top = idx.search(q, 5);
+    ASSERT_EQ(top.size(), 5u);
+    for (std::size_t i = 0; i < top.size(); ++i)
+      EXPECT_EQ(top[i].id, want[i].id);
+  }
 }
 
 TEST(ContextBuilder, TableShapeAndContent) {
