@@ -126,20 +126,33 @@ TierPeek PrefixCache::peek_tiers(std::span<const TokenId> prompt) const {
   return out;
 }
 
+void PrefixCache::resume_lease(std::span<const TokenId> prompt,
+                               CacheLease& lease) {
+  const std::size_t full_blocks = prompt.size() / config_.block_size;
+  if (lease.path.size() > full_blocks) {
+    tree_.unpin(std::span<const NodeId>(lease.path).subspan(full_blocks));
+    outstanding_pins_ -= lease.path.size() - full_blocks;
+    lease.path.resize(full_blocks);
+  }
+  tree_.touch(lease.path, clock_);
+}
+
+void PrefixCache::pin_from(std::span<const NodeId> path, std::size_t from) {
+  tree_.pin(path.subspan(from));
+  outstanding_pins_ += path.size() - from;
+}
+
 std::size_t PrefixCache::admit_insert(std::span<const TokenId> prompt,
                                       CacheLease& lease, std::size_t need) {
   const std::size_t path_before = lease.path.size();
-  tree_.unpin(lease.path);
-  outstanding_pins_ -= lease.path.size();
-  std::vector<NodeId> path = acquire_path();
-  const std::size_t new_blocks = tree_.insert_into(prompt, clock_, need, path);
+  resume_lease(prompt, lease);
+  const std::size_t held = lease.path.size();
+  const std::size_t new_blocks =
+      tree_.insert_from(prompt, clock_, need, lease.path);
+  pin_from(lease.path, held);
   pool_.allocate(new_blocks);
   stats_.inserted_blocks += new_blocks;
-  tree_.pin(path);
-  outstanding_pins_ += path.size();
-  lease.cached_tokens = path.size() * config_.block_size;
-  recycle_path(std::move(lease.path));
-  lease.path = std::move(path);
+  lease.cached_tokens = lease.path.size() * config_.block_size;
   trace(EventKind::CacheAdmit, new_blocks, lease.path.size(), path_before);
   return new_blocks;
 }
@@ -273,15 +286,16 @@ bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
 std::size_t PrefixCache::admit_tiered(std::span<const TokenId> prompt,
                                       CacheLease& lease) {
   const std::size_t path_before = lease.path.size();
-  // Drop the lookup lease and re-match fresh: another request may have
-  // grown (or demotion may have cooled) the matched prefix since.
-  tree_.unpin(lease.path);
-  outstanding_pins_ -= lease.path.size();
-  std::vector<NodeId> path = acquire_path();
-  tree_.match_into(prompt, path);
-  tree_.touch(path, clock_);
-  tree_.pin(path);
-  outstanding_pins_ += path.size();
+  // Resume from the lease: its pinned path was neither evicted nor
+  // demoted since the lookup. Only the blocks past it are matched afresh
+  // — another request may have grown (or demotion may have cooled) the
+  // prefix beyond the lease since.
+  resume_lease(prompt, lease);
+  std::vector<NodeId>& path = lease.path;
+  std::size_t held = path.size();
+  tree_.match_from(prompt, path);
+  tree_.touch(std::span<const NodeId>(path).subspan(held), clock_);
+  pin_from(path, held);
   // Refresh-promote the matched prefix BEFORE inserting new children:
   // inserting GPU-born children under a demoted (lower-tier) parent
   // would break tier monotonicity, and pinning a lower-tier node breaks
@@ -298,22 +312,15 @@ std::size_t PrefixCache::admit_tiered(std::span<const TokenId> prompt,
     if (need > 0) {
       make_gpu_room(need);
       if (!pool_.unlimited()) need = std::min(need, pool_.free());
-      tree_.unpin(path);
-      outstanding_pins_ -= path.size();
-      std::vector<NodeId> full_path = acquire_path();
-      new_blocks = tree_.insert_into(prompt, clock_, need, full_path);
+      held = path.size();
+      new_blocks = tree_.insert_from(prompt, clock_, need, path);
+      pin_from(path, held);
       pool_.allocate(new_blocks);
       stats_.inserted_blocks += new_blocks;
-      tree_.pin(full_path);
-      outstanding_pins_ += full_path.size();
-      recycle_path(std::move(path));
-      path = std::move(full_path);
     }
   }
   lease.cached_tokens = path.size() * config_.block_size;
-  recycle_path(std::move(lease.path));
-  lease.path = std::move(path);
-  trace(EventKind::CacheAdmit, new_blocks, lease.path.size(), path_before);
+  trace(EventKind::CacheAdmit, new_blocks, path.size(), path_before);
   return new_blocks;
 }
 

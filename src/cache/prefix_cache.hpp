@@ -114,6 +114,8 @@ class PrefixCache {
   std::size_t tier_resident_blocks(std::uint8_t tier) const;
   /// Blocks currently pinned by outstanding leases (gauge sampling).
   std::size_t pinned_blocks() const;
+  /// Read-only view of the radix tree (diagnostics and tests).
+  const RadixTree& tree() const { return tree_; }
 
   /// Bind an event sink (obs/trace.hpp). The cache has no clock of its
   /// own, so the owning session also hands down a pointer to its virtual
@@ -154,8 +156,11 @@ class PrefixCache {
 
   /// After prefill: insert the prompt's full blocks, evicting LRU blocks
   /// as needed. Under memory pressure only the longest admissible prefix
-  /// is kept (prefix-closed property preserved). Re-pins the lease to
-  /// cover the full inserted path. Returns blocks newly inserted.
+  /// is kept (prefix-closed property preserved). `lease` must come from a
+  /// lookup/resume_lookup/admit of a prompt that shares `prompt`'s
+  /// leading blocks (chunked prefill admits growing prefixes of one
+  /// prompt): the walk resumes from its pinned path, which grows to cover
+  /// the full inserted path. Returns blocks newly inserted.
   std::size_t admit(std::span<const TokenId> prompt, CacheLease& lease);
 
   /// Request finished: unpin its path.
@@ -257,10 +262,18 @@ class PrefixCache {
   /// Flat cache: destroy up to `n` LRU unpinned leaves and return their
   /// blocks to the GPU pool. Returns blocks evicted.
   std::size_t evict_flat(std::size_t n);
-  /// Insert + repin half of admit(); `need` caps new nodes. Returns
-  /// blocks newly inserted.
+  /// Insert half of a flat admit(): resumes from the lease, extends it
+  /// by up to `need` new nodes and pins only the extension. Returns blocks
+  /// newly inserted.
   std::size_t admit_insert(std::span<const TokenId> prompt, CacheLease& lease,
                            std::size_t need);
+  /// Start of every admit: refresh the lease's pinned path with the admit
+  /// clock (the recency a walk from the root would give it) and unpin any
+  /// of it past `prompt`'s full blocks. The path stays pinned, so it can
+  /// be extended in place instead of re-walked (DESIGN.md §11).
+  void resume_lease(std::span<const TokenId> prompt, CacheLease& lease);
+  /// Pin `path[from..]` (the part an admit just walked or created).
+  void pin_from(std::span<const NodeId> path, std::size_t from);
 
   /// Emission helper: one branch when tracing is off, no allocation.
   void trace(EventKind kind, std::uint64_t a, std::uint64_t b,

@@ -258,8 +258,31 @@ std::size_t RadixTree::match_tokens(std::span<const TokenId> tokens) const {
 std::size_t RadixTree::match_into(std::span<const TokenId> tokens,
                                   std::vector<NodeId>& path) const {
   path.clear();
-  NodeId cur = 0;
-  std::size_t offset = 0;
+  return match_from(tokens, path);
+}
+
+NodeId RadixTree::resume_point(std::span<const TokenId> tokens,
+                               std::span<const NodeId> path) const {
+  if (path.size() > tokens.size() / block_size_)
+    throw std::logic_error("RadixTree: resumed path outruns the tokens");
+#ifndef NDEBUG
+  NodeId parent = 0;
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    const Node& n = pool_[path[i]];
+    if (!n.alive || n.parent != parent ||
+        !ops::equal(block_span(path[i]),
+                    tokens.subspan(i * block_size_, block_size_)))
+      throw std::logic_error("RadixTree: resumed path does not spell tokens");
+    parent = path[i];
+  }
+#endif
+  return path.empty() ? 0 : path.back();
+}
+
+std::size_t RadixTree::match_from(std::span<const TokenId> tokens,
+                                  std::vector<NodeId>& path) const {
+  NodeId cur = resume_point(tokens, path);
+  std::size_t offset = path.size() * block_size_;
   while (offset + block_size_ <= tokens.size()) {
     const NodeId child = find_child(cur, tokens.subspan(offset, block_size_));
     if (child == kNoNode) break;
@@ -283,9 +306,16 @@ std::size_t RadixTree::insert_into(std::span<const TokenId> tokens,
                                    std::size_t max_new_blocks,
                                    std::vector<NodeId>& path) {
   path.clear();
+  return insert_from(tokens, now, max_new_blocks, path);
+}
+
+std::size_t RadixTree::insert_from(std::span<const TokenId> tokens,
+                                   std::uint64_t now,
+                                   std::size_t max_new_blocks,
+                                   std::vector<NodeId>& path) {
   std::size_t new_blocks = 0;
-  NodeId cur = 0;
-  std::size_t offset = 0;
+  NodeId cur = resume_point(tokens, path);
+  std::size_t offset = path.size() * block_size_;
   while (offset + block_size_ <= tokens.size()) {
     const auto block = tokens.subspan(offset, block_size_);
     NodeId child = find_child(cur, block);

@@ -66,7 +66,16 @@ class RadixTree {
 
   /// Allocation-free form of match(): fills a caller-owned path vector
   /// (cleared first; capacity is reused). Returns matched token count.
+  /// The empty-path case of match_from().
   std::size_t match_into(std::span<const TokenId> tokens,
+                         std::vector<NodeId>& path) const;
+
+  /// Resumable match. `path` must be a root-down path of alive nodes
+  /// holding the leading path.size() blocks of `tokens` (empty = start at
+  /// the root); appends the nodes of the cached blocks that follow it.
+  /// Returns the tokens the whole path now covers. Siblings hold distinct
+  /// blocks, so the result is exactly what a walk from the root finds.
+  std::size_t match_from(std::span<const TokenId> tokens,
                          std::vector<NodeId>& path) const;
 
   struct InsertResult {
@@ -82,8 +91,19 @@ class RadixTree {
                       std::size_t max_new_blocks = SIZE_MAX);
 
   /// Allocation-free form of insert(): fills a caller-owned path vector
-  /// (cleared first; capacity is reused). Returns nodes created.
+  /// (cleared first; capacity is reused). Returns nodes created. The
+  /// empty-path case of insert_from().
   std::size_t insert_into(std::span<const TokenId> tokens, std::uint64_t now,
+                          std::size_t max_new_blocks,
+                          std::vector<NodeId>& path);
+
+  /// Resumable insert: continues from `path` (same precondition as
+  /// match_from), walking the cached blocks after it and then creating
+  /// nodes for the remaining full blocks, at most `max_new_blocks` of
+  /// them, appending every node to `path`. Walked and created nodes get
+  /// last_access = `now`; the given prefix is left as it is (touch() it
+  /// for a full-path refresh). Returns nodes created.
+  std::size_t insert_from(std::span<const TokenId> tokens, std::uint64_t now,
                           std::size_t max_new_blocks,
                           std::vector<NodeId>& path);
 
@@ -258,6 +278,11 @@ class RadixTree {
   }
 
   NodeId find_child(NodeId node, std::span<const TokenId> block) const;
+  /// Where a resumed walk over `tokens` continues from `path`: its last
+  /// node (the root when empty). Rejects a path longer than the tokens'
+  /// full blocks; debug builds also check it spells their leading blocks.
+  NodeId resume_point(std::span<const TokenId> tokens,
+                      std::span<const NodeId> path) const;
   NodeId add_child(NodeId node, std::span<const TokenId> block,
                    std::uint64_t now);
   void remove_node(NodeId id);

@@ -35,19 +35,14 @@ struct Candidate {
 
 class GgrSolver {
  public:
-  /// `lengths` is the view being planned; `t` supplies the schema.
-  GgrSolver(const table::Table& t, const table::FdSet& fds,
-            const CellLengths& lengths, const GgrOptions& opts,
-            GgrCounters& counters)
-      : fds_(fds), lengths_(lengths), opts_(opts), counters_(counters) {
+  /// `lengths` is the view being planned; `closures` holds one FD
+  /// closure per column of the full schema (all empty without FDs).
+  GgrSolver(const FdClosures& closures, const CellLengths& lengths,
+            const GgrOptions& opts, GgrCounters& counters)
+      : lengths_(lengths), opts_(opts), counters_(counters),
+        closures_(closures) {
     in_group_.assign(lengths.num_rows(), 0);
     group_of_.assign(lengths.num_values(), kNoGroup);
-    // Precompute FD closures per column (against the full schema).
-    closures_.resize(t.num_cols());
-    if (opts_.use_fds) {
-      for (std::size_t c = 0; c < t.num_cols(); ++c)
-        closures_[c] = fds_.inferred_columns(t.schema(), c);
-    }
   }
 
   NodeResult solve(const std::vector<std::uint32_t>& rows,
@@ -248,11 +243,10 @@ class GgrSolver {
 
   static constexpr std::uint32_t kNoGroup = UINT32_MAX;
 
-  const table::FdSet& fds_;
   const CellLengths& lengths_;
   const GgrOptions& opts_;
   GgrCounters& counters_;
-  std::vector<std::vector<std::size_t>> closures_;
+  const FdClosures& closures_;
   std::vector<char> in_group_;  // per-row membership scratch for solve()
   /// Per-value scratch for collect_groups: candidate index of each value
   /// in the column being scanned, kNoGroup otherwise.
@@ -261,14 +255,31 @@ class GgrSolver {
 
 }  // namespace
 
+FdClosures fd_closures(const table::Schema& schema, const table::FdSet& fds) {
+  FdClosures out(schema.size());
+  for (std::size_t c = 0; c < schema.size(); ++c)
+    out[c] = fds.inferred_columns(schema, c);
+  return out;
+}
+
 GgrResult ggr(const table::Table& t, std::span<const std::size_t> rows,
               const table::FdSet& fds, const GgrOptions& options) {
+  return ggr(t, rows, fd_closures(t.schema(), fds), options);
+}
+
+GgrResult ggr(const table::Table& t, std::span<const std::size_t> rows,
+              const FdClosures& closures, const GgrOptions& options) {
   if (rows.empty()) throw std::invalid_argument("ggr: empty table");
+  if (closures.size() != t.num_cols())
+    throw std::invalid_argument("ggr: one FD closure per column expected");
   const auto start = Clock::now();
 
   const CellLengths lengths(t, rows, options.measure);
   GgrResult out;
-  GgrSolver solver(t, fds, lengths, options, out.counters);
+  const FdClosures no_fds = options.use_fds ? FdClosures()
+                                            : FdClosures(t.num_cols());
+  GgrSolver solver(options.use_fds ? closures : no_fds, lengths, options,
+                   out.counters);
 
   std::vector<std::uint32_t> view(rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r)

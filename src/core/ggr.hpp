@@ -77,6 +77,13 @@ struct GgrResult {
   double solve_seconds = 0.0;
 };
 
+/// FD closure of every column of `schema` (FdSet::inferred_columns,
+/// column by column): what ggr() consults. A stream planned window by
+/// window against one (FdSet, schema) computes them once and passes them
+/// to the closures overload below.
+using FdClosures = std::vector<std::vector<std::size_t>>;
+FdClosures fd_closures(const table::Schema& schema, const table::FdSet& fds);
+
 GgrResult ggr(const table::Table& t, const table::FdSet& fds,
               const GgrOptions& options = {});
 
@@ -85,6 +92,12 @@ GgrResult ggr(const table::Table& t, const table::FdSet& fds,
 /// ggr(t.take_rows(rows), ...) would, without copying the rows.
 GgrResult ggr(const table::Table& t, std::span<const std::size_t> rows,
               const table::FdSet& fds, const GgrOptions& options = {});
+
+/// The view overload with the FD closures precomputed:
+/// fd_closures(t.schema(), fds) plans exactly as `fds` does. Ignored when
+/// options.use_fds is false.
+GgrResult ggr(const table::Table& t, std::span<const std::size_t> rows,
+              const FdClosures& closures, const GgrOptions& options = {});
 
 /// Convenience: no FDs.
 GgrResult ggr(const table::Table& t, const GgrOptions& options = {});

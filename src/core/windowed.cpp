@@ -22,11 +22,12 @@ WindowedResult windowed_ggr(const table::Table& t, const table::FdSet& fds,
   row_order.reserve(n);
   field_orders.reserve(n);
 
+  const FdClosures closures = fd_closures(t.schema(), fds);
   for (std::size_t begin = 0; begin < n; begin += window) {
     const std::size_t end = std::min(n, begin + window);
     std::vector<std::size_t> window_rows(end - begin);
     std::iota(window_rows.begin(), window_rows.end(), begin);
-    GgrResult res = ggr(t, window_rows, fds, options.ggr);
+    GgrResult res = ggr(t, window_rows, closures, options.ggr);
     for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
       // Remap window-local row ids back to the full table.
       row_order.push_back(begin + res.ordering.row_at(pos));

@@ -41,14 +41,35 @@ tokenizer::TokenId single_token(std::string_view punct) {
   return seq[0];
 }
 
+struct RowPunct {
+  tokenizer::TokenId close, colon, comma;
+};
+
+const RowPunct& row_punct() {
+  static const RowPunct p{single_token("}"), single_token(":"),
+                          single_token(",")};
+  return p;
+}
+
 }  // namespace
 
+void append_row_body(const table::Table& t, std::size_t row,
+                     std::span<const std::size_t> field_order,
+                     tokenizer::TokenSeq& out) {
+  const RowPunct& p = row_punct();
+  const table::ValueDict& dict = t.dict();
+  for (std::size_t i = 0; i < field_order.size(); ++i) {
+    const std::size_t f = field_order[i];
+    if (i > 0) out.push_back(p.comma);
+    dict.append_json_tokens(t.field_id(f), out);
+    out.push_back(p.colon);
+    dict.append_json_tokens(t.cell_id(row, f), out);
+  }
+  out.push_back(p.close);
+}
+
 PromptEncoder::PromptEncoder(PromptTemplate tmpl)
-    : tmpl_(std::move(tmpl)),
-      open_(single_token("{")),
-      close_(single_token("}")),
-      colon_(single_token(":")),
-      comma_(single_token(",")) {
+    : tmpl_(std::move(tmpl)), open_(single_token("{")) {
   prefix_tokens_ =
       tokenizer::global_tokenizer().encode(render_instruction_prefix(tmpl_));
 }
@@ -56,19 +77,11 @@ PromptEncoder::PromptEncoder(PromptTemplate tmpl)
 tokenizer::TokenSeq PromptEncoder::encode(
     const table::Table& t, std::size_t row,
     std::span<const std::size_t> field_order) const {
-  const table::ValueDict& dict = t.dict();
   tokenizer::TokenSeq out;
   out.reserve(prefix_tokens_.size() + 16 * field_order.size() + 2);
   out.assign(prefix_tokens_.begin(), prefix_tokens_.end());
   out.push_back(open_);
-  for (std::size_t i = 0; i < field_order.size(); ++i) {
-    const std::size_t f = field_order[i];
-    if (i > 0) out.push_back(comma_);
-    dict.append_json_tokens(t.field_id(f), out);
-    out.push_back(colon_);
-    dict.append_json_tokens(t.cell_id(row, f), out);
-  }
-  out.push_back(close_);
+  append_row_body(t, row, field_order, out);
   return out;
 }
 

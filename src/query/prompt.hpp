@@ -37,13 +37,23 @@ std::string render_prompt(const PromptTemplate& tmpl, const table::Table& t,
                           std::size_t row,
                           std::span<const std::size_t> field_order);
 
+/// Append the tokens that encode(render_row_json(t, row, field_order))
+/// has after its opening brace, without rendering text: per field the key
+/// span (the field name's quoted literal), `:` and the value span, with
+/// `,` between fields, then `}`. Every span is token-aligned
+/// (table/value_dict.hpp) and cached in t's dictionary, so a repeated
+/// value is tokenised once per dictionary. The brace is the caller's: it
+/// is encode("{") after a separately encoded prefix, but the last token
+/// of encode(label + "{") when a label precedes the row in one encoding
+/// (the space-prefixed ` {` when the label ends in whitespace).
+void append_row_body(const table::Table& t, std::size_t row,
+                     std::span<const std::size_t> field_order,
+                     tokenizer::TokenSeq& out);
+
 /// Tokenized prompt, assembled without rendering text. The result equals
 /// the instruction-prefix encoding followed by
-/// encode(render_row_json(t, row, field_order)): the row JSON is the
-/// tokens of `{`, then per field the key span (the field name's quoted
-/// literal, then `:`) and the value span, with `,` between fields, then
-/// `}`. Every span is token-aligned (table/value_dict.hpp) and cached in
-/// t's dictionary, so a repeated value is tokenised once per dictionary.
+/// encode(render_row_json(t, row, field_order)): the tokens of `{`, then
+/// append_row_body.
 class PromptEncoder {
  public:
   PromptEncoder(PromptTemplate tmpl);
@@ -56,7 +66,7 @@ class PromptEncoder {
  private:
   PromptTemplate tmpl_;
   tokenizer::TokenSeq prefix_tokens_;
-  tokenizer::TokenId open_, close_, colon_, comma_;
+  tokenizer::TokenId open_;
 };
 
 }  // namespace llmq::query

@@ -14,9 +14,11 @@
 //   * goodput       — completed requests per second whose TTFT met the
 //                     SLO (equals throughput when no SLO is set).
 //
-// Percentiles use util::percentile (linear interpolation).
+// Percentiles use util::percentile's linear interpolation (selected with
+// util::percentiles_select).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "llm/request.hpp"
@@ -105,6 +107,12 @@ struct LatencySummary {
 /// summary; a zero makespan (e.g. all timestamps identical) reports zero
 /// throughput/goodput rather than dividing by zero.
 LatencySummary summarize_latency(const std::vector<ServedRequest>& requests,
+                                 double ttft_slo_seconds = 0.0);
+
+/// The same summary over the requests at positions `subset` (in that
+/// order) — a slice of a run without copying it.
+LatencySummary summarize_latency(const std::vector<ServedRequest>& requests,
+                                 std::span<const std::size_t> subset,
                                  double ttft_slo_seconds = 0.0);
 
 /// One priority class's slice of a run — the headline breakdown for

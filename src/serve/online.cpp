@@ -130,7 +130,8 @@ class SessionTracker {
  public:
   explicit SessionTracker(const SessionWorkload* sessions)
       : sessions_(sessions),
-        next_id_(sessions != nullptr ? sessions->roots.size() : 0) {}
+        next_id_(sessions != nullptr ? sessions->roots.size() : 0),
+        turns_(sessions != nullptr ? sessions->kind : SessionKind::Chat) {}
 
   /// Will this arrival spawn a follow-up turn when it completes?
   bool will_spawn(const Arrival& a) const {
@@ -186,11 +187,9 @@ class SessionTracker {
           "SessionTracker: follow-up dispatch without spawn");
     tokenizer::TokenSeq prompt = std::move(it->second);
     child_prefix_.erase(it);
-    // One concatenated string through one encode_append call, so a test
-    // can reproduce the turn's added length as count(label + rendered row).
-    const std::string tail = session_segment_label(sessions_->kind, a.turn) +
-                             query::render_row_json(t, a.row, fo);
-    tokenizer::global_tokenizer().encode_append(tail, prompt);
+    // Token-for-token encode(label + rendered row), so a test can still
+    // reproduce the turn's added length as count(label + rendered row).
+    turns_.append(a.turn, t, a.row, fo, prompt);
     return prompt;
   }
 
@@ -202,6 +201,7 @@ class SessionTracker {
 
   const SessionWorkload* sessions_;
   std::uint64_t next_id_ = 0;
+  SessionTurnEncoder turns_;
   std::unordered_map<std::uint64_t, SpawnCtx> ctx_;  // by parent id
   /// Child id -> parent prompt + synthetic parent output: the token-exact
   /// prefix contract the session property tests (and audit_trace) pin.

@@ -254,12 +254,13 @@ OnlineRunResult QueryClient::result() const {
   out.per_query = lanes_;
   out.dedup = dedup_;
   // Per-lane latency + per-tenant counts from the completion log.
-  std::vector<std::vector<ServedRequest>> by_lane(lanes_.size());
-  for (const ServedRequest& sr : requests_) by_lane[sr.tenant].push_back(sr);
+  std::vector<std::vector<std::size_t>> by_lane(lanes_.size());
+  for (std::size_t i = 0; i < requests_.size(); ++i)
+    by_lane[requests_[i].tenant].push_back(i);
   out.per_tenant.assign(lanes_.size(), 0);
   for (std::size_t l = 0; l < lanes_.size(); ++l) {
     out.per_query[l].latency =
-        summarize_latency(by_lane[l], options_.ttft_slo_seconds);
+        summarize_latency(requests_, by_lane[l], options_.ttft_slo_seconds);
     out.per_tenant[l] = by_lane[l].size();
   }
   return out;

@@ -28,7 +28,9 @@ std::optional<Policy> policy_from_string(const std::string& name) {
 OnlineScheduler::OnlineScheduler(const table::Table& t,
                                  const table::FdSet& fds,
                                  SchedulerOptions options)
-    : table_(t), fds_(fds), opt_(std::move(options)) {
+    : table_(t),
+      closures_(core::fd_closures(t.schema(), fds)),
+      opt_(std::move(options)) {
   // With no row bound and no wait deadline, ready() can never fire and the
   // whole stream silently degrades into one end-of-stream flush batch.
   // That configuration is always a bug; reject it up front.
@@ -128,7 +130,7 @@ void OnlineScheduler::plan_into(Window& w, std::vector<Arrival> batch) const {
       std::vector<std::size_t> rows;
       rows.reserve(batch.size());
       for (const auto& a : batch) rows.push_back(a.row);
-      const core::GgrResult res = core::ggr(table_, rows, fds_, opt_.ggr);
+      const core::GgrResult res = core::ggr(table_, rows, closures_, opt_.ggr);
       w.solve_seconds += res.solve_seconds;
       for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
         w.arrivals.push_back(batch[res.ordering.row_at(pos)]);
@@ -150,7 +152,8 @@ void OnlineScheduler::plan_into(Window& w, std::vector<Arrival> batch) const {
         std::vector<std::size_t> rows;
         rows.reserve(idx.size());
         for (std::size_t i : idx) rows.push_back(batch[i].row);
-        const core::GgrResult res = core::ggr(table_, rows, fds_, opt_.ggr);
+        const core::GgrResult res =
+            core::ggr(table_, rows, closures_, opt_.ggr);
         w.solve_seconds += res.solve_seconds;
         for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
           w.arrivals.push_back(batch[idx[res.ordering.row_at(pos)]]);

@@ -90,8 +90,8 @@ struct Window {
 
 class OnlineScheduler {
  public:
-  /// `t` backs the arrivals' row indices; both `t` and `fds` must outlive
-  /// the scheduler.
+  /// `t` backs the arrivals' row indices and must outlive the scheduler;
+  /// `fds` is read once, into the FD closures every window plans with.
   OnlineScheduler(const table::Table& t, const table::FdSet& fds,
                   SchedulerOptions options);
 
@@ -139,7 +139,9 @@ class OnlineScheduler {
   void plan_into(Window& w, std::vector<Arrival> batch) const;
 
   const table::Table& table_;
-  const table::FdSet& fds_;
+  /// The FD closures every window's GGR consults, computed once for the
+  /// stream's (FdSet, schema).
+  core::FdClosures closures_;
   SchedulerOptions opt_;
   std::deque<Arrival> buffer_;
   obs::TraceSink* trace_ = nullptr;

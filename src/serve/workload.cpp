@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "query/prompt.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 
@@ -152,6 +153,19 @@ std::string session_segment_label(SessionKind kind, std::uint32_t turn) {
   return kind == SessionKind::Agent
              ? "\n[tool result " + std::to_string(turn) + "]\n"
              : "\n[user turn " + std::to_string(turn) + "]\n";
+}
+
+void SessionTurnEncoder::append(std::uint32_t turn, const table::Table& t,
+                                std::size_t row,
+                                std::span<const std::size_t> field_order,
+                                tokenizer::TokenSeq& out) {
+  if (turn >= label_open_.size()) label_open_.resize(turn + 1);
+  tokenizer::TokenSeq& head = label_open_[turn];
+  if (head.empty())
+    head = tokenizer::global_tokenizer().encode(
+        session_segment_label(kind_, turn) + "{");
+  out.insert(out.end(), head.begin(), head.end());
+  query::append_row_body(t, row, field_order, out);
 }
 
 std::vector<llm::PriorityClass> classes_for_tenants(

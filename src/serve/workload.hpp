@@ -22,10 +22,12 @@
 // function of the seed.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "llm/request.hpp"
+#include "table/table.hpp"
 #include "tokenizer/tokenizer.hpp"
 
 namespace llmq::serve {
@@ -157,6 +159,27 @@ tokenizer::TokenSeq synth_output_tokens(std::uint64_t session,
 /// The textual segment that introduces turn `turn` of a session (turn is
 /// >= 1; rendered row JSON is appended after it by the driver).
 std::string session_segment_label(SessionKind kind, std::uint32_t turn);
+
+/// What a follow-up turn appends after its session prefix:
+/// encode(session_segment_label(kind, turn) + render_row_json(t, row,
+/// field_order)), assembled without rendering text. The label and the
+/// row's opening brace are encoded together once per turn — the label
+/// ends in a newline, so the brace is the space-prefixed ` {` token —
+/// and the row body comes from the table's cached spans
+/// (query::append_row_body).
+class SessionTurnEncoder {
+ public:
+  explicit SessionTurnEncoder(SessionKind kind) : kind_(kind) {}
+
+  void append(std::uint32_t turn, const table::Table& t, std::size_t row,
+              std::span<const std::size_t> field_order,
+              tokenizer::TokenSeq& out);
+
+ private:
+  SessionKind kind_;
+  /// encode(label + "{") by turn; empty until the turn is first seen.
+  std::vector<tokenizer::TokenSeq> label_open_;
+};
 
 /// Expand a tenant→class mapping (the WorkloadOptions::tenant_classes
 /// rule: tenant t gets `tenant_classes[t % size()]`) into one class per

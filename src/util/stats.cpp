@@ -51,6 +51,46 @@ double percentile_sorted(std::span<const double> sorted, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
+void percentiles_select(std::span<double> xs, std::span<const double> ps,
+                        std::span<double> out) {
+  if (out.size() != ps.size())
+    throw std::invalid_argument("percentiles_select: out/ps size mismatch");
+  if (!std::is_sorted(ps.begin(), ps.end()))
+    throw std::invalid_argument("percentiles_select: ps must be ascending");
+  const std::size_t n = xs.size();
+  // Order statistics below `from` are settled: everything at or after it
+  // is >= xs[from], so a higher rank is selected within [from, n).
+  std::size_t from = 0;
+  const auto select = [&](std::size_t k) {
+    std::nth_element(xs.begin() + static_cast<std::ptrdiff_t>(from),
+                     xs.begin() + static_cast<std::ptrdiff_t>(k), xs.end());
+    from = k;
+    return xs[k];
+  };
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const double p = ps[i];
+    if (n == 0) {
+      out[i] = 0.0;
+    } else if (p <= 0.0) {
+      out[i] = select(0);
+    } else if (p >= 100.0) {
+      out[i] = select(n - 1);
+    } else {
+      const double rank = p / 100.0 * static_cast<double>(n - 1);
+      const auto lo = static_cast<std::size_t>(rank);
+      const double frac = rank - static_cast<double>(lo);
+      const double a = select(lo);
+      if (lo + 1 >= n) {
+        out[i] = a;
+        continue;
+      }
+      const double b = *std::min_element(
+          xs.begin() + static_cast<std::ptrdiff_t>(lo + 1), xs.end());
+      out[i] = a * (1.0 - frac) + b * frac;
+    }
+  }
+}
+
 double min_of(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   return *std::min_element(xs.begin(), xs.end());

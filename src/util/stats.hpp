@@ -28,6 +28,15 @@ double percentile(std::vector<double> xs, double p);
 /// is identical to percentile(), so the results are bit-identical.
 double percentile_sorted(std::span<const double> sorted, double p);
 
+/// percentile_sorted(sorted copy of xs, ps[i]) into out[i] for every i,
+/// without sorting: it selects only the order statistics each percentile
+/// reads (`lo` by nth_element over a range that shrinks as the ranks
+/// rise, `lo + 1` as the minimum above it) and applies the same
+/// arithmetic, so on NaN-free input the results are bit-identical.
+/// `ps` must be ascending; xs is reordered. O(n) expected per percentile.
+void percentiles_select(std::span<double> xs, std::span<const double> ps,
+                        std::span<double> out);
+
 double min_of(std::span<const double> xs);
 double max_of(std::span<const double> xs);
 

@@ -73,6 +73,43 @@ TEST(Ggr, RowViewEqualsTakeRowsCopy) {
   }
 }
 
+TEST(Ggr, PrecomputedClosuresPlanExactlyAsTheFdSet) {
+  // A stream computes fd_closures once and plans every window with them;
+  // that must be the same plan as handing ggr the FdSet each time, with
+  // FDs honoured or disabled, under the depth-limited fallback (which
+  // also reads the closures) and without it.
+  util::Rng rng(5);
+  Table t = random_table(rng, 50, 5, 3);
+  FdSet fds;
+  fds.add_group({"f0", "f1"});
+  fds.add("f2", "f3");
+  fds.add("missing", "f4");  // named outside the schema: ignored
+  const FdClosures closures = fd_closures(t.schema(), fds);
+  ASSERT_EQ(closures.size(), t.num_cols());
+  for (std::size_t c = 0; c < t.num_cols(); ++c)
+    EXPECT_EQ(closures[c], fds.inferred_columns(t.schema(), c));
+  for (const bool use_fds : {true, false}) {
+    for (const int depth : {-1, 1}) {
+      GgrOptions o = unit_opts(depth, depth);
+      o.use_fds = use_fds;
+      for (int trial = 0; trial < 6; ++trial) {
+        std::vector<std::size_t> rows(1 + rng.next_below(t.num_rows()));
+        for (auto& r : rows) r = rng.next_below(t.num_rows());
+        const GgrResult a = ggr(t, rows, fds, o);
+        const GgrResult b = ggr(t, rows, closures, o);
+        EXPECT_EQ(a.ordering.row_order(), b.ordering.row_order());
+        EXPECT_EQ(a.ordering.field_orders(), b.ordering.field_orders());
+        EXPECT_EQ(a.estimated_phc, b.estimated_phc);
+        EXPECT_EQ(a.counters.fd_fields_skipped, b.counters.fd_fields_skipped);
+        EXPECT_EQ(a.counters.fallbacks, b.counters.fallbacks);
+      }
+    }
+  }
+  const std::vector<std::size_t> rows = {0, 1, 2};
+  EXPECT_THROW(ggr(t, rows, FdClosures(2), GgrOptions{}),
+               std::invalid_argument);
+}
+
 TEST(Ggr, SingleRow) {
   Table t(Schema::of_names({"a", "b"}));
   t.append_row({"x", "y"});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -130,8 +133,8 @@ TEST(Latency, NonPositiveSloDisablesTheCut) {
 // ttft() re-derived per consumer, means over the unsorted samples, and
 // every percentile through util::percentile (which copies and sorts its
 // input each call). The production path computes each quantity once and
-// sorts each sample once; this pins that the rewrite changed the work,
-// not one bit of the output.
+// selects only the order statistics each percentile reads; this pins that
+// the rewrite changed the work, not one bit of the output.
 LatencySummary summarize_latency_reference(
     const std::vector<ServedRequest>& requests, double ttft_slo_seconds) {
   LatencySummary s;
@@ -225,6 +228,104 @@ TEST(Latency, SingleSortRewriteIsBitIdenticalToReference) {
                                         : -1.0;
     expect_bit_identical(summarize_latency(rs, slo),
                          summarize_latency_reference(rs, slo));
+  }
+}
+
+/// Random requests whose timestamps come from a small grid, so every
+/// sample is full of ties; priorities and tenants are random too.
+std::vector<ServedRequest> tied_requests(util::Rng& rng, std::size_t n) {
+  std::vector<ServedRequest> rs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double arrival = 0.25 * static_cast<double>(rng.next_below(6));
+    const double admit = arrival + 0.5 * static_cast<double>(rng.next_below(3));
+    const double first = admit + 0.125 * static_cast<double>(rng.next_below(4));
+    const double finish = first + static_cast<double>(rng.next_below(5));
+    ServedRequest r = req(arrival, admit, first, finish);
+    r.output_tokens = static_cast<std::size_t>(rng.next_range(1, 4));
+    r.priority = static_cast<llm::PriorityClass>(
+        rng.next_below(llm::kNumPriorityClasses));
+    r.tenant = static_cast<std::uint32_t>(rng.next_below(3));
+    r.preemptions = rng.next_below(3);
+    r.recomputed_tokens = rng.next_below(100);
+    rs.push_back(r);
+  }
+  return rs;
+}
+
+TEST(Latency, PercentileSelectionMatchesSortedReference) {
+  util::Rng rng(99);
+  const std::vector<double> ps = {0.0, 0.5, 25.0, 50.0, 50.0,
+                                  90.0, 95.0, 99.0, 99.9, 100.0};
+  for (int trial = 0; trial < 400; ++trial) {
+    // Sizes 0, 1 and 2 every few trials, otherwise up to 300.
+    const std::size_t n = trial % 4 == 0
+                              ? static_cast<std::size_t>(trial / 4 % 3)
+                              : rng.next_below(300);
+    std::vector<double> xs(n);
+    const bool tied = trial % 2 == 0;
+    for (double& x : xs)
+      x = tied ? static_cast<double>(rng.next_below(4)) : rng.next_double();
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<double> got(ps.size());
+    util::percentiles_select(xs, ps, got);
+    for (std::size_t i = 0; i < ps.size(); ++i)
+      EXPECT_EQ(got[i], util::percentile_sorted(sorted, ps[i]))
+          << "n " << n << " p " << ps[i];
+  }
+}
+
+TEST(Latency, SelectionSummariesAreBitIdenticalOnTiesAndTinySamples) {
+  util::Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n =
+        trial < 30 ? static_cast<std::size_t>(trial % 3) : rng.next_below(250);
+    const std::vector<ServedRequest> rs = tied_requests(rng, n);
+    const double slo = trial % 2 == 0 ? 0.0 : 0.5;
+    expect_bit_identical(summarize_latency(rs, slo),
+                         summarize_latency_reference(rs, slo));
+  }
+}
+
+TEST(Latency, ClassAndSubsetSummariesMatchCopiedSlices) {
+  util::Rng rng(11);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n =
+        trial < 9 ? static_cast<std::size_t>(trial % 3) : rng.next_below(200);
+    const std::vector<ServedRequest> rs = tied_requests(rng, n);
+    const double slo = trial % 2 == 0 ? 0.0 : 0.4;
+
+    // summarize_by_class against copying each class's requests out.
+    const std::vector<PriorityClassMetrics> by_class =
+        summarize_by_class(rs, slo);
+    ASSERT_EQ(by_class.size(), llm::kNumPriorityClasses);
+    for (std::size_t c = 0; c < llm::kNumPriorityClasses; ++c) {
+      std::vector<ServedRequest> slice;
+      std::size_t preemptions = 0;
+      std::uint64_t recomputed = 0;
+      for (const ServedRequest& r : rs) {
+        if (static_cast<std::size_t>(r.priority) != c) continue;
+        slice.push_back(r);
+        preemptions += r.preemptions;
+        recomputed += r.recomputed_tokens;
+      }
+      EXPECT_EQ(by_class[c].requests, slice.size());
+      EXPECT_EQ(by_class[c].preemptions, preemptions);
+      EXPECT_EQ(by_class[c].recomputed_tokens, recomputed);
+      expect_bit_identical(by_class[c].latency,
+                           summarize_latency_reference(slice, slo));
+    }
+
+    // The subset overload (per-lane summaries) against a copied slice.
+    std::vector<std::size_t> subset;
+    std::vector<ServedRequest> slice;
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      if (rs[i].tenant != 1) continue;
+      subset.push_back(i);
+      slice.push_back(rs[i]);
+    }
+    expect_bit_identical(summarize_latency(rs, subset, slo),
+                         summarize_latency_reference(slice, slo));
   }
 }
 
