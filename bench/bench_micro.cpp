@@ -298,7 +298,7 @@ void bench_evict_batch(const BenchOptions& opt, JsonReport& json) {
     cache::RadixTree tree = build();
     nodes = tree.num_blocks();
     const auto t0 = std::chrono::steady_clock::now();
-    evicted = tree.evict_lru(nodes);
+    evicted = tree.evict_lru_tier(nodes, 0);
     const auto t1 = std::chrono::steady_clock::now();
     if (evicted != nodes) fail("evict_batch failed to drain the tree");
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
@@ -353,7 +353,7 @@ void bench_alloc_steadystate(const BenchOptions& opt, JsonReport& json) {
   std::uint64_t now = 0;
   const auto tree_pass = [&] {
     for (const auto& p : prompts) tree.insert(p, ++now);
-    tree.evict_lru(tree.num_blocks());
+    tree.evict_lru_tier(tree.num_blocks(), 0);
   };
   tree_pass();
   tree_pass();

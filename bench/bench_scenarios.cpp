@@ -195,7 +195,6 @@ int scenarios(const BenchOptions& opt, JsonReport& json) {
       // Even tenants are short generations, odd tenants ~16x longer.
       cfg.tenant_output_multiplier = {0.25, 4.0};
       cfg.predictor.enabled = true;
-      cfg.scheduler.spjf = spjf;
       cfg.engine.spjf = spjf;
       cfg.scale_kv_pool(s.kv_fraction);
       const serve::OnlineRunResult r =

@@ -1,6 +1,7 @@
 #include "cache/prefix_cache.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace llmq::cache {
 
@@ -35,21 +36,29 @@ CacheStats& CacheStats::operator-=(const CacheStats& o) {
 }
 
 PrefixCache::PrefixCache(CacheConfig config)
-    : config_(config), tree_(config.block_size),
-      pool_(config.capacity_blocks) {
-  if (config_.tiers < 1) config_.tiers = 1;
-  if (config_.tiers > 3) config_.tiers = 3;
+    : config_(config), tree_(config.block_size) {
+  config_.tiers = std::clamp<std::size_t>(config_.tiers, 1, kMaxTiers);
+  pools_.emplace_back(config_.capacity_blocks);
+  pools_.resize(config_.tiers, BlockPool(0));
 }
 
 std::size_t PrefixCache::resident_blocks() const {
   return tree_.num_blocks();
 }
 
-std::size_t PrefixCache::gpu_resident_blocks() const { return pool_.used(); }
+std::size_t PrefixCache::gpu_resident_blocks() const {
+  return pools_[0].used();
+}
 
 std::size_t PrefixCache::tier_resident_blocks(std::uint8_t tier) const {
-  if (tier == 0) return pool_.used();
-  return tier == 1 ? host_used_ : disk_used_;
+  return tier < pools_.size() ? pools_[tier].used() : 0;
+}
+
+std::size_t PrefixCache::tier_capacity(std::size_t tier) const {
+  const std::size_t caps[kMaxTiers] = {config_.capacity_blocks,
+                                       config_.host_capacity_blocks,
+                                       config_.disk_capacity_blocks};
+  return caps[tier];
 }
 
 std::size_t PrefixCache::pinned_blocks() const {
@@ -75,16 +84,14 @@ CacheLease PrefixCache::pinning_match(std::span<const TokenId> prompt) {
   tree_.touch(lease.path, clock_);
   tree_.pin(lease.path);
   outstanding_pins_ += lease.path.size();
-  if (tiered()) {
-    // Promotion-on-hit: a lower-tier match is pulled back to GPU before
-    // the lease hands it out — pinned blocks are always GPU-resident,
-    // and the engine prices the transfer the lease reports into TTFT.
-    std::size_t host = 0, disk = 0;
-    if (promote_pinned_path(lease.path, host, disk, /*cls=*/0))
-      lease.cached_tokens = lease.path.size() * config_.block_size;
-    lease.promoted_host_blocks = host;
-    lease.promoted_disk_blocks = disk;
-  }
+  // Promotion-on-hit: a lower-tier match is pulled back to GPU before the
+  // lease hands it out — pinned blocks are always GPU-resident, and the
+  // engine prices the transfer the lease reports into TTFT.
+  std::size_t host = 0, disk = 0;
+  if (promote_pinned_path(lease.path, host, disk, /*cls=*/0))
+    lease.cached_tokens = lease.path.size() * config_.block_size;
+  lease.promoted_host_blocks = host;
+  lease.promoted_disk_blocks = disk;
   return lease;
 }
 
@@ -142,102 +149,85 @@ void PrefixCache::pin_from(std::span<const NodeId> path, std::size_t from) {
   outstanding_pins_ += path.size() - from;
 }
 
-std::size_t PrefixCache::admit_insert(std::span<const TokenId> prompt,
-                                      CacheLease& lease, std::size_t need) {
+std::size_t PrefixCache::admit(std::span<const TokenId> prompt,
+                               CacheLease& lease) {
+  if (!config_.enabled) return 0;
+  ++clock_;
   const std::size_t path_before = lease.path.size();
+  // Resume from the lease: its pinned path was neither evicted nor
+  // demoted since the lookup. Only the blocks past it are matched afresh
+  // — another request may have grown (or demotion may have cooled) the
+  // prefix beyond the lease since.
   resume_lease(prompt, lease);
-  const std::size_t held = lease.path.size();
-  const std::size_t new_blocks =
-      tree_.insert_from(prompt, clock_, need, lease.path);
-  pin_from(lease.path, held);
-  pool_.allocate(new_blocks);
-  stats_.inserted_blocks += new_blocks;
+  const std::size_t new_blocks = extend_pinned(prompt, lease.path);
   lease.cached_tokens = lease.path.size() * config_.block_size;
   trace(EventKind::CacheAdmit, new_blocks, lease.path.size(), path_before);
   return new_blocks;
 }
 
-std::size_t PrefixCache::admit(std::span<const TokenId> prompt,
-                               CacheLease& lease) {
-  if (!config_.enabled) return 0;
-  ++clock_;
-  if (tiered()) return admit_tiered(prompt, lease);
-
+std::size_t PrefixCache::extend_pinned(std::span<const TokenId> prompt,
+                                       std::vector<NodeId>& path) {
+  std::size_t held = path.size();
+  tree_.match_from(prompt, path);
+  tree_.touch(std::span<const NodeId>(path).subspan(held), clock_);
+  pin_from(path, held);
+  // Refresh-promote the matched prefix BEFORE inserting new children:
+  // inserting GPU-born children under a demoted (lower-tier) parent
+  // would break tier monotonicity, and pinning a lower-tier node breaks
+  // pinned => GPU-resident. The blocks are on-GPU anyway (prefill just
+  // recomputed them, or a migration just landed them), so this promotion
+  // is a free refresh (cls=1), not a priced transfer.
+  std::size_t host = 0, disk = 0;
+  if (promote_pinned_path(path, host, disk, /*cls=*/1)) return 0;
+  // Room is made for what the cache lacks past the matched path, which
+  // stays pinned meanwhile, so blocks already cached are never shed only
+  // to be inserted again; under pin saturation only the longest
+  // admissible prefix is kept.
   const std::size_t full_blocks = prompt.size() / config_.block_size;
-  const std::size_t have = lease.path.size();
-  std::size_t need = full_blocks > have ? full_blocks - have : 0;
-  // Make room: evict LRU unpinned leaves; accept a shorter insert if the
-  // pool cannot satisfy the full request (everything pinned).
-  if (!pool_.unlimited() && need > pool_.free()) {
-    evict_flat(need - pool_.free());
-    need = std::min(need, pool_.free());
+  std::size_t need = full_blocks > path.size() ? full_blocks - path.size() : 0;
+  if (need == 0) return 0;
+  make_gpu_room(need);
+  need = std::min(need, pools_[0].free());
+  held = path.size();
+  const std::size_t new_blocks = tree_.insert_from(prompt, clock_, need, path);
+  pin_from(path, held);
+  pools_[0].allocate(new_blocks);
+  stats_.inserted_blocks += new_blocks;
+  return new_blocks;
+}
+
+std::size_t PrefixCache::evict(std::size_t n) { return shed(0, n); }
+
+std::size_t PrefixCache::shed(std::size_t tier, std::size_t n) {
+  const auto t = static_cast<std::uint8_t>(tier);
+  if (tier + 1 == pools_.size()) {
+    // The bottom tier destroys its LRU leaves for real.
+    const std::size_t evicted = tree_.evict_lru_tier(n, t);
+    if (evicted > 0) {
+      pools_[tier].release(evicted);
+      stats_.evicted_blocks += evicted;
+      trace(EventKind::CacheEvict, evicted, tier, 0);
+    }
+    return evicted;
   }
-  return admit_insert(prompt, lease, need);
-}
-
-std::size_t PrefixCache::evict_flat(std::size_t n) {
-  const std::size_t evicted = tree_.evict_lru(n);
-  pool_.release(evicted);
-  stats_.evicted_blocks += evicted;
-  if (evicted > 0) trace(EventKind::CacheEvict, evicted, 0, 0);
-  return evicted;
-}
-
-std::size_t PrefixCache::evict(std::size_t n) {
-  // Tiered: the engine wants GPU headroom; cold blocks step down a tier
-  // and stay servable instead of dying. Bottom-tier overflow is destroyed
-  // inside the rebalance (that is where evicted_blocks grows).
-  return tiered() ? demote_gpu(n) : evict_flat(n);
-}
-
-// ---- Tier machinery. ----
-
-std::size_t PrefixCache::demote_gpu(std::size_t n) {
-  const std::size_t demoted = tree_.demote_lru(n, 0);
+  // Any other tier demotes one level; the tier below took the blocks
+  // past its capacity, so it sheds back under it.
+  const std::size_t demoted = tree_.demote_lru(n, t);
   if (demoted > 0) {
-    pool_.release(demoted);
-    host_used_ += demoted;
+    pools_[tier].release(demoted);
+    BlockPool& below = pools_[tier + 1];
+    below.allocate(demoted);
     stats_.demoted_blocks += demoted;
-    trace(EventKind::TierDemote, demoted, 1, 0);
-    rebalance_lower_tiers();
+    trace(EventKind::TierDemote, demoted, tier + 1, tier);
+    const std::size_t cap = tier_capacity(tier + 1);
+    if (cap > 0 && below.used() > cap) shed(tier + 1, below.used() - cap);
   }
   return demoted;
 }
 
 void PrefixCache::make_gpu_room(std::size_t need) {
-  if (pool_.unlimited() || need <= pool_.free()) return;
-  demote_gpu(need - pool_.free());
-}
-
-void PrefixCache::rebalance_lower_tiers() {
-  if (config_.host_capacity_blocks > 0 &&
-      host_used_ > config_.host_capacity_blocks) {
-    const std::size_t excess = host_used_ - config_.host_capacity_blocks;
-    if (config_.tiers >= 3) {
-      // Push host overflow down to disk, oldest first. Host blocks are
-      // never pinned (pinned => GPU), so this always clears the excess.
-      const std::size_t moved = tree_.demote_lru(excess, 1);
-      host_used_ -= moved;
-      disk_used_ += moved;
-      stats_.demoted_blocks += moved;
-      if (moved > 0) trace(EventKind::TierDemote, moved, 2, 1);
-    } else {
-      // Host IS the bottom tier: overflow dies for real.
-      host_used_ -= evict_bottom(1, excess);
-    }
-  }
-  if (config_.tiers >= 3 && config_.disk_capacity_blocks > 0 &&
-      disk_used_ > config_.disk_capacity_blocks)
-    disk_used_ -= evict_bottom(2, disk_used_ - config_.disk_capacity_blocks);
-}
-
-std::size_t PrefixCache::evict_bottom(std::uint8_t tier, std::size_t n) {
-  const std::size_t evicted = tree_.evict_lru_tier(n, tier);
-  if (evicted > 0) {
-    stats_.evicted_blocks += evicted;
-    trace(EventKind::CacheEvict, evicted, tier, 0);
-  }
-  return evicted;
+  const BlockPool& gpu = pools_[0];
+  if (need > gpu.free()) shed(0, need - gpu.free());
 }
 
 bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
@@ -245,6 +235,8 @@ bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
                                       std::uint8_t cls) {
   host = 0;
   disk = 0;
+  // Nothing resident below the GPU (always so on a flat cache): no walk.
+  if (pools_[0].used() == tree_.num_blocks()) return false;
   std::size_t lower_host = 0, lower_disk = 0;
   tree_.count_tiered(path, lower_host, lower_disk);
   const std::size_t lower = lower_host + lower_disk;
@@ -252,12 +244,13 @@ bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
   // The path is already pinned, which is what keeps make_gpu_room's
   // demotion scan away from it.
   make_gpu_room(lower);
+  BlockPool& gpu = pools_[0];
   bool truncated = false;
-  if (!pool_.unlimited() && pool_.free() < lower) {
+  if (gpu.free() < lower) {
     // Pin-saturated GPU pool: keep the longest prefix whose lower-tier
     // blocks fit, unpin and drop the tail — the request recomputes those
     // tokens instead of reading them back.
-    const std::size_t free = pool_.free();
+    const std::size_t free = gpu.free();
     std::size_t keep = 0, used = 0;
     for (NodeId id : path) {
       const bool lower_node = tree_.node_tier(id) != 0;
@@ -274,94 +267,25 @@ bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
   tree_.count_tiered(path, host, disk);
   if (host + disk > 0) {
     tree_.promote_path(path);
-    pool_.allocate(host + disk);
-    host_used_ -= host;
-    disk_used_ -= disk;
+    gpu.allocate(host + disk);
+    const std::size_t promoted[kMaxTiers] = {0, host, disk};
+    for (std::size_t tier = 1; tier < pools_.size(); ++tier)
+      pools_[tier].release(promoted[tier]);
     stats_.promoted_blocks += host + disk;
     trace(EventKind::TierPromote, host, disk, path.size(), cls);
   }
   return truncated;
 }
 
-std::size_t PrefixCache::admit_tiered(std::span<const TokenId> prompt,
-                                      CacheLease& lease) {
-  const std::size_t path_before = lease.path.size();
-  // Resume from the lease: its pinned path was neither evicted nor
-  // demoted since the lookup. Only the blocks past it are matched afresh
-  // — another request may have grown (or demotion may have cooled) the
-  // prefix beyond the lease since.
-  resume_lease(prompt, lease);
-  std::vector<NodeId>& path = lease.path;
-  std::size_t held = path.size();
-  tree_.match_from(prompt, path);
-  tree_.touch(std::span<const NodeId>(path).subspan(held), clock_);
-  pin_from(path, held);
-  // Refresh-promote the matched prefix BEFORE inserting new children:
-  // inserting GPU-born children under a demoted (lower-tier) parent
-  // would break tier monotonicity, and pinning a lower-tier node breaks
-  // pinned => GPU-resident. Prefill just recomputed every prompt token
-  // on-GPU, so this promotion is a free refresh (cls=1), not a priced
-  // transfer.
-  std::size_t host = 0, disk = 0;
-  const bool truncated = promote_pinned_path(path, host, disk, /*cls=*/1);
-  std::size_t new_blocks = 0;
-  if (!truncated) {
-    const std::size_t full_blocks = prompt.size() / config_.block_size;
-    std::size_t need =
-        full_blocks > path.size() ? full_blocks - path.size() : 0;
-    if (need > 0) {
-      make_gpu_room(need);
-      if (!pool_.unlimited()) need = std::min(need, pool_.free());
-      held = path.size();
-      new_blocks = tree_.insert_from(prompt, clock_, need, path);
-      pin_from(path, held);
-      pool_.allocate(new_blocks);
-      stats_.inserted_blocks += new_blocks;
-    }
-  }
-  lease.cached_tokens = path.size() * config_.block_size;
-  trace(EventKind::CacheAdmit, new_blocks, path.size(), path_before);
-  return new_blocks;
-}
-
 std::size_t PrefixCache::admit_migrated(std::span<const TokenId> tokens) {
   if (!config_.enabled) return 0;
   ++clock_;
+  // An admit without a lease: the path is pinned only while it is
+  // extended, then released.
   std::vector<NodeId> path = acquire_path();
-  tree_.match_into(tokens, path);
-  tree_.touch(path, clock_);
-  if (tiered()) {
-    // Same monotonicity hazard as admit(): refresh-promote the matched
-    // prefix before hanging new GPU blocks under it. The migrated bytes
-    // landed in GPU memory either way (cls=1: not a priced transfer —
-    // the fleet already charged the inter-replica copy).
-    tree_.pin(path);
-    outstanding_pins_ += path.size();
-    std::size_t host = 0, disk = 0;
-    const bool truncated = promote_pinned_path(path, host, disk, /*cls=*/1);
-    tree_.unpin(path);
-    outstanding_pins_ -= path.size();
-    if (truncated) {  // pin-saturated pool: nothing more fits
-      recycle_path(std::move(path));
-      return 0;
-    }
-  }
-  const std::size_t full_blocks = tokens.size() / config_.block_size;
-  std::size_t need = full_blocks > path.size() ? full_blocks - path.size() : 0;
-  std::size_t new_blocks = 0;
-  if (need > 0) {
-    if (tiered()) {
-      make_gpu_room(need);
-    } else if (!pool_.unlimited() && need > pool_.free()) {
-      evict_flat(need - pool_.free());
-    }
-    if (!pool_.unlimited()) need = std::min(need, pool_.free());
-    std::vector<NodeId> full_path = acquire_path();
-    new_blocks = tree_.insert_into(tokens, clock_, need, full_path);
-    pool_.allocate(new_blocks);
-    stats_.inserted_blocks += new_blocks;
-    recycle_path(std::move(full_path));
-  }
+  const std::size_t new_blocks = extend_pinned(tokens, path);
+  tree_.unpin(path);
+  outstanding_pins_ -= path.size();
   recycle_path(std::move(path));
   // No CacheLookup/CacheAdmit events and no hit credit: migrated
   // prefixes must never read as prefix hits (the fleet's PrefixMigrate
@@ -450,34 +374,29 @@ std::string PrefixCache::check_invariants() const {
   if (!tree.empty()) return "tree: " + tree;
   const std::size_t resident = tree_.num_blocks();
   const std::uint64_t pins = tree_.total_ref_count();
-  const std::size_t gpu = tree_.tier_blocks(0);
-  const std::size_t host = tree_.tier_blocks(1);
-  const std::size_t disk = tree_.tier_blocks(2);
-  // Tier ledger: every resident block lives in exactly one tier, the
-  // per-tier walked totals match the pool/counter accounting, and a flat
-  // cache never grows lower-tier blocks.
-  if (gpu + host + disk != resident)
-    return "tier totals do not sum to resident blocks";
-  if (gpu != pool_.used())
-    return "GPU tier ledger out of sync with pool usage";
-  if (host != host_used_)
-    return "host tier ledger out of sync with host_used_";
-  if (disk != disk_used_)
-    return "disk tier ledger out of sync with disk_used_";
-  if (!tiered() && host + disk > 0)
-    return "flat cache holds lower-tier blocks";
-  if (config_.tiers < 3 && disk > 0)
-    return "disk blocks without a disk tier";
-  if (tiered() && config_.host_capacity_blocks > 0 &&
-      host > config_.host_capacity_blocks)
-    return "host tier over capacity";
-  if (tiered() && config_.disk_capacity_blocks > 0 &&
-      disk > config_.disk_capacity_blocks)
-    return "disk tier over capacity";
+  // Tier ledger: every resident block lives in exactly one configured
+  // tier, each tier's walked total matches its pool, and no tier holds
+  // more than its capacity.
+  const auto fail = [](std::size_t tier, const char* what) {
+    return "tier " + std::to_string(tier) + ": " + what;
+  };
+  std::size_t total = 0;
+  for (std::size_t tier = 0; tier < kMaxTiers; ++tier) {
+    const std::size_t blocks =
+        tree_.tier_blocks(static_cast<std::uint8_t>(tier));
+    total += blocks;
+    if (tier >= pools_.size()) {
+      if (blocks > 0) return fail(tier, "holds blocks but is not configured");
+      continue;
+    }
+    if (blocks != pools_[tier].used())
+      return fail(tier, "ledger out of sync with its pool");
+    const std::size_t cap = tier_capacity(tier);
+    if (cap > 0 && blocks > cap) return fail(tier, "over capacity");
+  }
+  if (total != resident) return "tier totals do not sum to resident blocks";
   if (stats_.inserted_blocks - stats_.evicted_blocks != resident)
     return "inserted - evicted does not equal resident blocks";
-  if (!pool_.unlimited() && pool_.used() > pool_.capacity())
-    return "pool over capacity";
   if (pins != outstanding_pins_)
     return "tree pin count out of sync with outstanding leases";
   return std::string();

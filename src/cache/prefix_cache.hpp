@@ -24,11 +24,11 @@ struct CacheConfig {
   std::size_t block_size = 16;      // tokens per KV block (vLLM default)
   std::size_t capacity_blocks = 0;  // GPU-tier capacity; 0 = unlimited
   bool enabled = true;              // false = the paper's "No Cache" arm
-  /// Tier count: 1 = flat GPU-only pool (the pre-tier behavior, bit-
-  /// exact), 2 = GPU + host DRAM, 3 = GPU + host + disk. With tiers > 1
-  /// GPU pressure demotes cold blocks down instead of destroying them,
-  /// and a lower-tier hit is promoted back before the lease pins it
-  /// (DESIGN.md §13).
+  /// Tier count: 1 = flat GPU-only pool, 2 = GPU + host DRAM, 3 = GPU +
+  /// host + disk. Every count runs the same tier ladder: pressure demotes
+  /// cold blocks down a tier and only the bottom tier destroys them (with
+  /// tiers == 1 the GPU is the bottom tier), and a lower-tier hit is
+  /// promoted back before the lease pins it (DESIGN.md §13).
   std::size_t tiers = 1;
   /// Capacity of the host / disk tiers in blocks; 0 = unlimited. Only
   /// read when the corresponding tier exists.
@@ -154,13 +154,15 @@ class PrefixCache {
   /// cache everything lands in gpu_tokens (total == peek()).
   TierPeek peek_tiers(std::span<const TokenId> prompt) const;
 
-  /// After prefill: insert the prompt's full blocks, evicting LRU blocks
-  /// as needed. Under memory pressure only the longest admissible prefix
-  /// is kept (prefix-closed property preserved). `lease` must come from a
-  /// lookup/resume_lookup/admit of a prompt that shares `prompt`'s
-  /// leading blocks (chunked prefill admits growing prefixes of one
-  /// prompt): the walk resumes from its pinned path, which grows to cover
-  /// the full inserted path. Returns blocks newly inserted.
+  /// After prefill: insert the prompt's full blocks, making room through
+  /// the tier ladder as needed. Under memory pressure only the longest
+  /// admissible prefix is kept (prefix-closed property preserved). `lease`
+  /// must come from a lookup/resume_lookup/admit of a prompt that shares
+  /// `prompt`'s leading blocks (chunked prefill admits growing prefixes of
+  /// one prompt): the walk resumes from its pinned path and first matches
+  /// (and pins) whatever is cached past it, so room is made only for the
+  /// blocks the cache actually lacks. The path grows to cover the full
+  /// inserted path. Returns blocks newly inserted.
   std::size_t admit(std::span<const TokenId> prompt, CacheLease& lease);
 
   /// Request finished: unpin its path.
@@ -176,18 +178,19 @@ class PrefixCache {
   void cancel_lookup(CacheLease& lease, std::size_t prompt_tokens);
 
   /// Free up to `n` GPU blocks for the serving engine, which owns the
-  /// global KV budget across cached and per-request private blocks.
-  /// Flat cache: LRU leaves are destroyed. Tiered cache: the same LRU
-  /// victims are demoted to the host tier instead (cascading host->disk
-  /// and finally destroying bottom-tier LRU leaves as capacities fill).
-  /// Returns GPU blocks actually freed.
+  /// global KV budget across cached and per-request private blocks: the
+  /// GPU rung of the tier ladder. Flat cache: LRU leaves are destroyed.
+  /// Tiered cache: LRU victims are demoted to the host tier instead
+  /// (cascading host->disk and finally destroying bottom-tier LRU leaves
+  /// as capacities fill). Returns GPU blocks actually freed.
   std::size_t evict(std::size_t n);
 
   /// Insert a migrated prefix (fleet warm-up: a donor replica streamed
-  /// these tokens to this cache). Inserts like an admit — new blocks land
-  /// GPU-resident, LRU demotion/eviction makes room — but counts NO
-  /// lookup or hit stats and pins nothing, so migrated prefixes are
-  /// never double-counted as prefix hits; only inserted_blocks grows.
+  /// these tokens to this cache). Inserts like an admit from an empty
+  /// lease — new blocks land GPU-resident, the tier ladder makes room
+  /// past the already-cached prefix — but counts NO lookup or hit stats
+  /// and leaves nothing pinned, so migrated prefixes are never
+  /// double-counted as prefix hits; only inserted_blocks grows.
   /// Returns blocks newly inserted.
   std::size_t admit_migrated(std::span<const TokenId> tokens);
 
@@ -232,46 +235,45 @@ class PrefixCache {
   std::vector<NodeId> acquire_path();
   void recycle_path(std::vector<NodeId>&& path);
 
-  bool tiered() const { return config_.tiers > 1; }
+  /// Most tiers a cache can have: GPU, host DRAM, disk.
+  static constexpr std::size_t kMaxTiers = 3;
+
+  /// Configured capacity of `tier` in blocks (0 = unlimited).
+  std::size_t tier_capacity(std::size_t tier) const;
 
   CacheLease pinning_match(std::span<const TokenId> prompt);
 
-  // ---- Tier helpers. ----
-
-  /// Demote up to `n` GPU-LRU blocks to host, then rebalance host/disk to
-  /// capacity. Returns GPU blocks freed (fewer when everything left is
-  /// pinned).
-  std::size_t demote_gpu(std::size_t n);
-  /// Demote until the GPU pool has `need` free blocks (best effort).
+  /// One rung of the tier ladder: free up to `n` LRU unpinned blocks of
+  /// `tier`. The bottom tier destroys its LRU leaves (CacheEvict); any
+  /// other tier demotes its LRU candidates one level (TierDemote), then
+  /// sheds the tier below back under its capacity. With tiers == 1 the
+  /// GPU is the bottom tier. Returns blocks that left `tier` (fewer when
+  /// everything left is pinned).
+  std::size_t shed(std::size_t tier, std::size_t n);
+  /// Shed GPU blocks until the GPU pool has `need` free (best effort).
   void make_gpu_room(std::size_t need);
-  /// Push host overflow to disk (3-tier) or destroy bottom-tier LRU
-  /// leaves so host/disk stay within their capacities.
-  void rebalance_lower_tiers();
-  /// Destroy up to `n` LRU unpinned leaves of the bottom tier `tier`.
-  std::size_t evict_bottom(std::uint8_t tier, std::size_t n);
   /// Promote every lower-tier node of the pinned root-down `path` to
   /// GPU, demoting cold blocks for room. If the pool is pin-saturated,
   /// unpins and drops the non-fitting tail (returns true). `host`/`disk`
   /// receive the blocks promoted from each tier; `cls` tags the
   /// TierPromote event (0 = priced transfer, 1 = recompute refresh).
+  /// A no-op on a path with no lower-tier block (every path of a flat
+  /// cache, found in O(1) while no block sits below the GPU).
   bool promote_pinned_path(std::vector<NodeId>& path, std::size_t& host,
                            std::size_t& disk, std::uint8_t cls);
-  /// Tiered admit(): refresh-promote the matched prefix, then insert the
-  /// remaining new blocks GPU-resident.
-  std::size_t admit_tiered(std::span<const TokenId> prompt, CacheLease& lease);
-  /// Flat cache: destroy up to `n` LRU unpinned leaves and return their
-  /// blocks to the GPU pool. Returns blocks evicted.
-  std::size_t evict_flat(std::size_t n);
-  /// Insert half of a flat admit(): resumes from the lease, extends it
-  /// by up to `need` new nodes and pins only the extension. Returns blocks
-  /// newly inserted.
-  std::size_t admit_insert(std::span<const TokenId> prompt, CacheLease& lease,
-                           std::size_t need);
   /// Start of every admit: refresh the lease's pinned path with the admit
   /// clock (the recency a walk from the root would give it) and unpin any
   /// of it past `prompt`'s full blocks. The path stays pinned, so it can
   /// be extended in place instead of re-walked (DESIGN.md §11).
   void resume_lease(std::span<const TokenId> prompt, CacheLease& lease);
+  /// The walk every admit shares. `path` is a pinned root-down path of
+  /// `prompt`'s leading blocks (empty = the root). Matches, touches and
+  /// pins the cached blocks past it, refresh-promotes lower-tier ones,
+  /// then makes GPU room for the full blocks still missing and inserts
+  /// them pinned, appending every node to `path`. Returns blocks newly
+  /// inserted.
+  std::size_t extend_pinned(std::span<const TokenId> prompt,
+                            std::vector<NodeId>& path);
   /// Pin `path[from..]` (the part an admit just walked or created).
   void pin_from(std::span<const NodeId> path, std::size_t from);
 
@@ -285,11 +287,12 @@ class PrefixCache {
 
   CacheConfig config_;
   RadixTree tree_;
-  BlockPool pool_;  // the GPU tier: pool_.used() == GPU-resident blocks
-  /// Blocks resident at the host / disk tiers (both stay 0 on a flat
-  /// cache).
-  std::size_t host_used_ = 0;
-  std::size_t disk_used_ = 0;
+  /// Tier ledger, one pool per configured tier, indexed by tier:
+  /// pools_[t].used() == blocks resident at tier t. The GPU pool enforces
+  /// its capacity on allocate. A lower tier takes a demotion past its
+  /// capacity and shed() brings it straight back under, so its pool is
+  /// unlimited and its bound is tier_capacity(t).
+  std::vector<BlockPool> pools_;
   CacheStats stats_;
   std::uint64_t clock_ = 0;
   /// Outstanding (lease, node) pin edges — incremented when a lease pins

@@ -355,20 +355,6 @@ void RadixTree::unpin(std::span<const NodeId> path) {
   }
 }
 
-std::size_t RadixTree::evict_lru(std::size_t want) {
-  std::size_t evicted = 0;
-  while (evicted < want) {
-    const HeapEntry* victim = nullptr;
-    for (const TierIndex& t : tiers_)
-      if (!t.leaves.empty() && (!victim || older(t.leaves.front(), *victim)))
-        victim = &t.leaves.front();
-    if (!victim) break;
-    remove_node(victim->id);
-    ++evicted;
-  }
-  return evicted;
-}
-
 std::string RadixTree::check_invariants() const {
   const auto fail = [](NodeId id, const char* what) {
     return "node " + std::to_string(id) + ": " + what;

@@ -20,8 +20,8 @@
 // the tree changes, so each victim costs O(log n).
 //
 // Tiers (DESIGN.md §13): each node carries a tier tag — 0 = GPU, 1 =
-// host DRAM, 2 = disk. A flat cache leaves every node at tier 0 and the
-// tier machinery is never touched. The tree maintains tier monotonicity
+// host DRAM, 2 = disk. A flat cache leaves every node at tier 0 and
+// evicts at tier 0; it never demotes. The tree maintains tier monotonicity
 // down every path (child.tier >= parent.tier): demotion takes the oldest
 // unpinned block of a tier that has no child left in that tier, so a
 // node's same-tier children always demote before it; promotion covers
@@ -114,15 +114,6 @@ class RadixTree {
   void pin(std::span<const NodeId> path);
   void unpin(std::span<const NodeId> path);
 
-  /// Evict up to `want` least-recently-used, unpinned leaves, in any
-  /// tier. Returns the number actually evicted (may be fewer if
-  /// everything is pinned or has children). Each victim is the oldest
-  /// top of the per-tier leaf heaps (ties broken toward the lower node
-  /// id); parents exposed as new leaves join their heap as their last
-  /// child goes, so one call with `want` = n takes the same victims, in
-  /// the same order, as n calls with `want` = 1. O(victims · log n).
-  std::size_t evict_lru(std::size_t want);
-
   /// Total pinned nodes (diagnostics / gauges; O(1) counter).
   std::size_t pinned_blocks() const { return pinned_blocks_; }
 
@@ -131,7 +122,7 @@ class RadixTree {
   /// lease accounting in check_invariants().
   std::uint64_t total_ref_count() const;
 
-  // ---- Tier operations (no-ops on a flat, all-tier-0 tree). ----
+  // ---- Tier operations (a flat tree keeps every node at tier 0). ----
 
   /// Tier of one alive node (0 = GPU).
   std::uint8_t node_tier(NodeId id) const { return pool_[id].tier; }
@@ -152,10 +143,10 @@ class RadixTree {
   /// is exactly n calls with `want` = 1. O(victims · log n).
   std::size_t demote_lru(std::size_t want, std::uint8_t from_tier);
 
-  /// Evict up to `want` LRU unpinned leaves restricted to `tier` (the
-  /// bottom tier sheds blocks for real; upper tiers demote instead):
-  /// pops the tier's leaf heap, which exposed parents join only if they
-  /// sit at `tier`. One call with `want` = n takes the same victims, in
+  /// Evict up to `want` LRU unpinned leaves restricted to `tier` — the
+  /// tree's only eviction: the bottom tier sheds blocks for real (tier 0
+  /// of a flat tree), upper tiers demote instead. Pops the tier's leaf
+  /// heap, which exposed parents join only if they sit at `tier`. One call with `want` = n takes the same victims, in
   /// the same order, as n calls with `want` = 1. O(victims · log n).
   std::size_t evict_lru_tier(std::size_t want, std::uint8_t tier);
 
@@ -242,7 +233,7 @@ class RadixTree {
   // id), each entry carrying its key and each member node storing its
   // own position. The root is never a member, and a node is in at most
   // one heap. Storage capacity is kept across uses.
-  //   leaves:   alive, unpinned, no children (evict_lru, evict_lru_tier)
+  //   leaves:   alive, unpinned, no children (evict_lru_tier)
   //   frontier: alive, unpinned, with children but none in this tier
   // Together they hold exactly the tier's demotion candidates (unpinned,
   // no child in the tier), so demote_lru takes the older of the two

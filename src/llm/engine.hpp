@@ -83,7 +83,9 @@ struct EngineConfig {
   /// reorders inside one effective class, so aging still promotes a
   /// starved request out of the contested class. When every prediction
   /// is 0 (predictor disabled) the order degenerates to exact FIFO,
-  /// bit-identical to spjf == false.
+  /// bit-identical to spjf == false. run_online also binds its length
+  /// predictor to the window scheduler when this is set, so the same
+  /// knob orders dispatch within each window.
   bool spjf = false;
 };
 

@@ -307,7 +307,9 @@ class StreamSource final : public FleetSource {
         predictor_(config.predictor),
         tracker_(config.sessions),
         feed_(arrivals) {
-    scheduler_.set_predictor(&predictor_);
+    // One SPJF knob: engine.spjf orders admission and, through the bound
+    // predictor, dispatch within each planned window.
+    if (config.engine.spjf) scheduler_.set_predictor(&predictor_);
     emitted_rows_.reserve(arrivals.size());
     emitted_fields_.reserve(arrivals.size());
   }

@@ -89,8 +89,10 @@ struct OnlineConfig {
   /// Output-length predictor (serve/length_predictor.hpp). run_online
   /// builds one predictor per run, observes every completion in oracle
   /// order, and stamps Request::predicted_output_tokens at dispatch.
-  /// Pair with engine.spjf and/or scheduler.spjf to act on the
-  /// predictions; with both off the predictor only adds bookkeeping.
+  /// engine.spjf is the one knob that acts on the predictions: it orders
+  /// engine admission and binds the predictor to the scheduler, which
+  /// then sorts each planned window by prediction. With it off the
+  /// predictor only adds bookkeeping.
   LengthPredictorOptions predictor;
 
   /// Replication: number of independent engine+cache replicas. `engine`,

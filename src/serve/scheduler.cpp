@@ -105,7 +105,7 @@ Window OnlineScheduler::plan_window(std::vector<Arrival> batch,
 }
 
 void OnlineScheduler::plan_into(Window& w, std::vector<Arrival> batch) const {
-  if (opt_.spjf && predictor_ != nullptr && predictor_->enabled()) {
+  if (predictor_ != nullptr && predictor_->enabled()) {
     // Stable: equal predictions (in particular, same-tenant runs) keep
     // their arrival order, so SPJF never inverts FIFO gratuitously.
     std::stable_sort(batch.begin(), batch.end(),
@@ -114,53 +114,36 @@ void OnlineScheduler::plan_into(Window& w, std::vector<Arrival> batch) const {
                               predictor_->predict(y.tenant);
                      });
   }
-  const std::size_t m = table_.num_cols();
-  std::vector<std::size_t> schema_order(m);
-  std::iota(schema_order.begin(), schema_order.end(), 0);
-
-  switch (opt_.policy) {
-    case Policy::Fifo: {
-      for (const Arrival& a : batch) {
-        w.arrivals.push_back(a);
-        w.field_orders.push_back(schema_order);
-      }
-      break;
+  if (opt_.policy == Policy::Fifo) {
+    std::vector<std::size_t> schema_order(table_.num_cols());
+    std::iota(schema_order.begin(), schema_order.end(), 0);
+    for (const Arrival& a : batch) {
+      w.arrivals.push_back(a);
+      w.field_orders.push_back(schema_order);
     }
-    case Policy::WindowedGgr: {
-      std::vector<std::size_t> rows;
-      rows.reserve(batch.size());
-      for (const auto& a : batch) rows.push_back(a.row);
-      const core::GgrResult res = core::ggr(table_, rows, closures_, opt_.ggr);
-      w.solve_seconds += res.solve_seconds;
-      for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
-        w.arrivals.push_back(batch[res.ordering.row_at(pos)]);
-        w.field_orders.push_back(res.ordering.fields_at(pos));
-      }
-      break;
-    }
-    case Policy::TenantGgr: {
-      // Partition by tenant in first-arrival order, GGR each partition.
-      std::vector<std::uint32_t> tenant_order;
-      std::unordered_map<std::uint32_t, std::vector<std::size_t>> groups;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        auto [it, inserted] = groups.try_emplace(batch[i].tenant);
-        if (inserted) tenant_order.push_back(batch[i].tenant);
-        it->second.push_back(i);
-      }
-      for (std::uint32_t tenant : tenant_order) {
-        const std::vector<std::size_t>& idx = groups[tenant];
-        std::vector<std::size_t> rows;
-        rows.reserve(idx.size());
-        for (std::size_t i : idx) rows.push_back(batch[i].row);
-        const core::GgrResult res =
-            core::ggr(table_, rows, closures_, opt_.ggr);
-        w.solve_seconds += res.solve_seconds;
-        for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
-          w.arrivals.push_back(batch[idx[res.ordering.row_at(pos)]]);
-          w.field_orders.push_back(res.ordering.fields_at(pos));
-        }
-      }
-      break;
+    return;
+  }
+  // GGR each partition: WindowedGgr plans the batch as one partition,
+  // TenantGgr one partition per tenant in first-arrival order.
+  const bool by_tenant = opt_.policy == Policy::TenantGgr;
+  std::vector<std::uint32_t> part_order;
+  std::unordered_map<std::uint32_t, std::vector<std::size_t>> parts;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::uint32_t key = by_tenant ? batch[i].tenant : 0;
+    auto [it, inserted] = parts.try_emplace(key);
+    if (inserted) part_order.push_back(key);
+    it->second.push_back(i);
+  }
+  std::vector<std::size_t> rows;
+  for (std::uint32_t key : part_order) {
+    const std::vector<std::size_t>& idx = parts[key];
+    rows.clear();
+    for (std::size_t i : idx) rows.push_back(batch[i].row);
+    const core::GgrResult res = core::ggr(table_, rows, closures_, opt_.ggr);
+    w.solve_seconds += res.solve_seconds;
+    for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
+      w.arrivals.push_back(batch[idx[res.ordering.row_at(pos)]]);
+      w.field_orders.push_back(res.ordering.fields_at(pos));
     }
   }
 }

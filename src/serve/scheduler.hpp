@@ -66,17 +66,6 @@ struct SchedulerOptions {
   /// value as EngineConfig::priority_aging_seconds so the scheduler and
   /// the engine agree on what "overdue" means.
   double aging_seconds = 0.0;
-
-  /// Shortest-predicted-job-first dispatch: stable-sort each planned
-  /// (sub-)batch by the bound LengthPredictor's per-tenant prediction
-  /// before the policy runs, so short-predicted requests reach the engine
-  /// earlier within their window (and their class partition, when
-  /// priority_order is on). Requires set_predictor(); a null or disabled
-  /// predictor leaves the order untouched. Note the GGR policies reorder
-  /// rows for cache affinity anyway — SPJF dispatch bites hardest under
-  /// Fifo, while the engine-side EngineConfig::spjf reorders admission
-  /// regardless of the window policy.
-  bool spjf = false;
 };
 
 /// One dispatched window: arrivals in emission (post-reordering) order and
@@ -120,8 +109,16 @@ class OnlineScheduler {
   /// a WindowPlan event on the driver's global track. nullptr disables.
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
 
-  /// Bind the output-length predictor SchedulerOptions::spjf sorts by
-  /// (caller-owned, must outlive the scheduler; nullptr disables).
+  /// Shortest-predicted-job-first dispatch: with a bound, enabled
+  /// predictor, each planned (sub-)batch is stable-sorted by its
+  /// per-tenant prediction before the policy runs, so short-predicted
+  /// requests reach the engine earlier within their window (and their
+  /// class partition, when priority_order is on). The GGR policies
+  /// reorder rows for cache affinity anyway — SPJF dispatch bites hardest
+  /// under Fifo. run_online binds its predictor exactly when
+  /// EngineConfig::spjf is set, so one knob drives dispatch and
+  /// admission. Caller-owned, must outlive the scheduler; nullptr (the
+  /// default) disables.
   void set_predictor(const LengthPredictor* p) { predictor_ = p; }
 
  private:
@@ -134,7 +131,7 @@ class OnlineScheduler {
                   static_cast<std::uint64_t>(opt_.policy), buffer_.size()});
   }
   /// Run the configured policy over one (sub-)batch, appending its
-  /// emission to `w`. With spjf + a live predictor, stable-sorts the
+  /// emission to `w`. With a bound, enabled predictor, stable-sorts the
   /// batch by predicted length first (ties keep arrival order).
   void plan_into(Window& w, std::vector<Arrival> batch) const;
 

@@ -161,6 +161,27 @@ TEST(PrefixCache, PinnedLeaseSurvivesPressure) {
   pc.release(la2);
 }
 
+TEST(PrefixCache, AdmitPastTheLeaseEvictsNothingAlreadyCached) {
+  // A looks P up cold; B looks P up, admits all four blocks and releases.
+  // A's admit then finds P cached past its empty lease. The full pool
+  // must not make room for blocks the cache already holds: nothing is
+  // evicted, nothing re-inserted, and A's lease holds B's nodes.
+  PrefixCache pc(cfg(4, /*cap=*/4));
+  const auto p = iota_seq(16);
+  auto la = pc.lookup(p);
+  auto lb = pc.lookup(p);
+  EXPECT_EQ(pc.admit(p, lb), 4u);
+  const std::vector<NodeId> b_path = lb.path;
+  pc.release(lb);
+  EXPECT_EQ(pc.admit(p, la), 0u);
+  EXPECT_EQ(pc.stats().inserted_blocks, 4u);
+  EXPECT_EQ(pc.stats().evicted_blocks, 0u);
+  EXPECT_EQ(la.path, b_path);
+  EXPECT_EQ(la.cached_tokens, 16u);
+  EXPECT_EQ(pc.check_invariants(), "");
+  pc.release(la);
+}
+
 TEST(PrefixCache, EngineDrivenEvict) {
   PrefixCache pc(cfg(4, 0));
   const auto a = iota_seq(16);

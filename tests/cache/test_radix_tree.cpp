@@ -80,7 +80,7 @@ TEST(RadixTree, EvictLruRemovesOldestLeaf) {
   RadixTree t(4);
   t.insert(seq({1, 2, 3, 4}), 1);
   t.insert(seq({5, 6, 7, 8}), 2);
-  EXPECT_EQ(t.evict_lru(1), 1u);
+  EXPECT_EQ(t.evict_lru_tier(1, 0), 1u);
   // The older (time 1) chain must be gone; the newer remains.
   EXPECT_EQ(t.match(seq({1, 2, 3, 4})).matched_tokens, 0u);
   EXPECT_EQ(t.match(seq({5, 6, 7, 8})).matched_tokens, 4u);
@@ -89,7 +89,7 @@ TEST(RadixTree, EvictLruRemovesOldestLeaf) {
 TEST(RadixTree, EvictionIsLeafFirst) {
   RadixTree t(4);
   t.insert(iota_seq(12), 1);  // chain of 3
-  EXPECT_EQ(t.evict_lru(1), 1u);
+  EXPECT_EQ(t.evict_lru_tier(1, 0), 1u);
   // Prefix-closed: the first two blocks still match.
   EXPECT_EQ(t.match(iota_seq(12)).matched_tokens, 8u);
 }
@@ -98,10 +98,10 @@ TEST(RadixTree, PinnedNodesNotEvicted) {
   RadixTree t(4);
   const auto ins = t.insert(seq({1, 2, 3, 4}), 1);
   t.pin(ins.path);
-  EXPECT_EQ(t.evict_lru(5), 0u);
+  EXPECT_EQ(t.evict_lru_tier(5, 0), 0u);
   EXPECT_EQ(t.pinned_blocks(), 1u);
   t.unpin(ins.path);
-  EXPECT_EQ(t.evict_lru(5), 1u);
+  EXPECT_EQ(t.evict_lru_tier(5, 0), 1u);
 }
 
 TEST(RadixTree, UnpinWithoutPinThrows) {
@@ -115,7 +115,7 @@ TEST(RadixTree, TouchProtectsFromLru) {
   const auto a = t.insert(seq({1, 2, 3, 4}), 1);
   t.insert(seq({5, 6, 7, 8}), 2);
   t.touch(a.path, 3);  // refresh the older entry
-  EXPECT_EQ(t.evict_lru(1), 1u);
+  EXPECT_EQ(t.evict_lru_tier(1, 0), 1u);
   EXPECT_EQ(t.match(seq({1, 2, 3, 4})).matched_tokens, 4u);
   EXPECT_EQ(t.match(seq({5, 6, 7, 8})).matched_tokens, 0u);
 }
@@ -124,7 +124,7 @@ TEST(RadixTree, NodeReuseAfterEviction) {
   RadixTree t(2);
   for (int round = 0; round < 50; ++round) {
     t.insert(seq({static_cast<TokenId>(round), 1}), round);
-    t.evict_lru(1);
+    t.evict_lru_tier(1, 0);
   }
   EXPECT_EQ(t.num_blocks(), 0u);
 }
@@ -159,7 +159,7 @@ TEST(RadixTree, HighFanoutEvictionKeepsIndexCoherent) {
     t.insert(iota_seq(4, static_cast<TokenId>(10 * i)), i + 1);
   const std::size_t slots_high_water = t.node_slots();
 
-  EXPECT_EQ(t.evict_lru(30), 30u);  // oldest 30 = children 0..29
+  EXPECT_EQ(t.evict_lru_tier(30, 0), 30u);  // oldest 30 = children 0..29
   EXPECT_EQ(t.check_invariants(), "");
   for (int i = 0; i < kChildren; ++i) {
     const auto probe = iota_seq(4, static_cast<TokenId>(10 * i));
@@ -176,7 +176,8 @@ TEST(RadixTree, HighFanoutEvictionKeepsIndexCoherent) {
     EXPECT_EQ(t.match_tokens(iota_seq(4, static_cast<TokenId>(10 * i))), 4u);
 
   // Drain completely through the heap-based batch path.
-  EXPECT_EQ(t.evict_lru(kChildren), static_cast<std::size_t>(kChildren));
+  EXPECT_EQ(t.evict_lru_tier(kChildren, 0),
+            static_cast<std::size_t>(kChildren));
   EXPECT_EQ(t.num_blocks(), 0u);
   EXPECT_EQ(t.check_invariants(), "");
 }
@@ -222,7 +223,7 @@ TEST(RadixTree, BatchEvictMatchesOneByOneEviction) {
   };
   for (bool tiered : {false, true}) {
     const auto evict = [tiered](RadixTree& t, std::size_t k) {
-      return tiered ? t.evict_lru_tier(k, 1) : t.evict_lru(k);
+      return t.evict_lru_tier(k, tiered ? 1 : 0);
     };
     for (std::size_t k : {1u, 3u, 7u, 20u, 100u}) {
       RadixTree batch = build(tiered);
@@ -303,13 +304,12 @@ struct RefTree {
     return fresh;
   }
 
-  // One scan collects every evictable node (optionally of one tier) into
-  // a (last_access, id) min-heap; parents join as eviction exposes them.
-  std::vector<NodeId> evict(std::size_t want, int tier) {
+  // One scan collects every evictable node of one tier into a
+  // (last_access, id) min-heap; parents join as eviction exposes them.
+  std::vector<NodeId> evict(std::size_t want, std::uint8_t tier) {
     const auto evictable = [&](NodeId id) {
       const Node& n = nodes.at(id);
-      return n.ref_count == 0 && !has_child(id) &&
-             (tier < 0 || n.tier == tier);
+      return n.ref_count == 0 && !has_child(id) && n.tier == tier;
     };
     std::vector<std::pair<std::uint64_t, NodeId>> heap;
     for (const auto& [id, n] : nodes)
@@ -406,7 +406,7 @@ TEST(RadixTree, IndexedEvictionMatchesScanReference) {
       };
       for (int step = 0; step < 400; ++step) {
         now += pick(2);  // equal stamps exercise the id tiebreak
-        const std::size_t op = pick(8);
+        const std::size_t op = pick(7);
         const std::size_t k = 1 + pick(4);
         const bool one_by_one = pick(2) == 0;
         std::string what;
@@ -438,25 +438,20 @@ TEST(RadixTree, IndexedEvictionMatchesScanReference) {
           for (NodeId id : pinned[i]) --ref.nodes.at(id).ref_count;
           pinned.erase(pinned.begin() + static_cast<std::ptrdiff_t>(i));
           what = "unpin";
-        } else if (op == 4 || op == 5) {
-          // evict_lru across tiers, or evict_lru_tier on one tier.
-          const int tier = op == 4 ? -1 : static_cast<int>(pick(tiers));
-          const auto evict = [&](std::size_t n) {
-            if (tier < 0) return t.evict_lru(n);
-            return t.evict_lru_tier(n, static_cast<std::uint8_t>(tier));
-          };
-          what = tier < 0 ? "evict_lru" : "evict_lru_tier";
+        } else if (op == 4) {
+          const auto tier = static_cast<std::uint8_t>(pick(tiers));
+          what = "evict_lru_tier";
           if (one_by_one) {
             for (std::size_t i = 0; i < k; ++i) {
-              ASSERT_EQ(evict(1), ref.evict(1, tier).size());
+              ASSERT_EQ(t.evict_lru_tier(1, tier), ref.evict(1, tier).size());
               ASSERT_EQ(ref.diff(t), "") << what << " seed " << seed
                                          << " tiers " << tiers << " step "
                                          << step << " victim " << i;
             }
           } else {
-            ASSERT_EQ(evict(k), ref.evict(k, tier).size());
+            ASSERT_EQ(t.evict_lru_tier(k, tier), ref.evict(k, tier).size());
           }
-        } else if (op == 6 && tiers > 1) {
+        } else if (op == 5 && tiers > 1) {
           const auto from = static_cast<std::uint8_t>(pick(tiers - 1));
           what = "demote_lru";
           if (one_by_one) {
@@ -473,7 +468,7 @@ TEST(RadixTree, IndexedEvictionMatchesScanReference) {
               ++ref_moved;
             ASSERT_EQ(t.demote_lru(k, from), ref_moved);
           }
-        } else if (op == 7) {
+        } else if (op == 6) {
           promote(ref.path_to(random_node()));
           what = "promote_path";
         }

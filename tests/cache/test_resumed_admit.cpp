@@ -32,7 +32,10 @@ namespace {
 using Tokens = std::span<const TokenId>;
 
 /// The unpin + root re-walk cache: lookup, admit, release, cancel and
-/// evict exactly as PrefixCache did before admits resumed from the lease.
+/// evict as PrefixCache did before admits resumed from the lease. Every
+/// tier count admits the same way: unpin the lease, match from the root,
+/// touch, pin and promote the match, make room for the blocks past it,
+/// then insert from the root.
 class RewalkOracle {
  public:
   explicit RewalkOracle(CacheConfig c)
@@ -62,20 +65,30 @@ class RewalkOracle {
 
   std::size_t admit(Tokens prompt, CacheLease& lease) {
     ++clock_;
-    if (tiered()) return admit_tiered(prompt, lease);
-    const std::size_t full_blocks = prompt.size() / config_.block_size;
-    const std::size_t have = lease.path.size();
-    std::size_t need = full_blocks > have ? full_blocks - have : 0;
-    if (!pool_.unlimited() && need > pool_.free()) {
-      evict_flat(need - pool_.free());
-      need = std::min(need, pool_.free());
-    }
     tree_.unpin(lease.path);
     std::vector<NodeId> path;
-    const std::size_t new_blocks = tree_.insert_into(prompt, clock_, need, path);
-    pool_.allocate(new_blocks);
-    stats_.inserted_blocks += new_blocks;
+    tree_.match_into(prompt, path);
+    tree_.touch(path, clock_);
     tree_.pin(path);
+    std::size_t host = 0, disk = 0;
+    const bool truncated = promote_pinned_path(path, host, disk);
+    std::size_t new_blocks = 0;
+    if (!truncated) {
+      const std::size_t full_blocks = prompt.size() / config_.block_size;
+      std::size_t need =
+          full_blocks > path.size() ? full_blocks - path.size() : 0;
+      if (need > 0) {
+        make_gpu_room(need);
+        if (!pool_.unlimited()) need = std::min(need, pool_.free());
+        tree_.unpin(path);
+        std::vector<NodeId> full_path;
+        new_blocks = tree_.insert_into(prompt, clock_, need, full_path);
+        pool_.allocate(new_blocks);
+        stats_.inserted_blocks += new_blocks;
+        tree_.pin(full_path);
+        path = std::move(full_path);
+      }
+    }
     lease.cached_tokens = path.size() * config_.block_size;
     lease.path = std::move(path);
     return new_blocks;
@@ -115,38 +128,8 @@ class RewalkOracle {
     return lease;
   }
 
-  std::size_t admit_tiered(Tokens prompt, CacheLease& lease) {
-    tree_.unpin(lease.path);
-    std::vector<NodeId> path;
-    tree_.match_into(prompt, path);
-    tree_.touch(path, clock_);
-    tree_.pin(path);
-    std::size_t host = 0, disk = 0;
-    const bool truncated = promote_pinned_path(path, host, disk);
-    std::size_t new_blocks = 0;
-    if (!truncated) {
-      const std::size_t full_blocks = prompt.size() / config_.block_size;
-      std::size_t need =
-          full_blocks > path.size() ? full_blocks - path.size() : 0;
-      if (need > 0) {
-        make_gpu_room(need);
-        if (!pool_.unlimited()) need = std::min(need, pool_.free());
-        tree_.unpin(path);
-        std::vector<NodeId> full_path;
-        new_blocks = tree_.insert_into(prompt, clock_, need, full_path);
-        pool_.allocate(new_blocks);
-        stats_.inserted_blocks += new_blocks;
-        tree_.pin(full_path);
-        path = std::move(full_path);
-      }
-    }
-    lease.cached_tokens = path.size() * config_.block_size;
-    lease.path = std::move(path);
-    return new_blocks;
-  }
-
   std::size_t evict_flat(std::size_t n) {
-    const std::size_t evicted = tree_.evict_lru(n);
+    const std::size_t evicted = tree_.evict_lru_tier(n, 0);
     pool_.release(evicted);
     stats_.evicted_blocks += evicted;
     return evicted;
@@ -165,7 +148,7 @@ class RewalkOracle {
 
   void make_gpu_room(std::size_t need) {
     if (pool_.unlimited() || need <= pool_.free()) return;
-    demote_gpu(need - pool_.free());
+    evict(need - pool_.free());
   }
 
   void rebalance_lower_tiers() {

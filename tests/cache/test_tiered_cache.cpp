@@ -264,5 +264,25 @@ TEST(TieredCache, PinnedBlocksAreNeverDemoted) {
   EXPECT_EQ(cache.check_invariants(), "");
 }
 
+TEST(TieredCache, MigratedAdmitMakesRoomPastTheCachedPrefix) {
+  // A 2-block GPU pool already holds the head of a 4-block migrated
+  // prefix when it lands again. Room must come from blocks past that
+  // head, and there are none: the head must be neither shed and
+  // re-inserted (flat) nor demoted with GPU-born children hung under it
+  // (2-tier), which would break tier monotonicity.
+  for (std::size_t tiers : {1u, 2u}) {
+    PrefixCache cache(CacheConfig{4, 2, true, tiers, 0, 0});
+    tokenizer::TokenSeq prefix(16);
+    std::iota(prefix.begin(), prefix.end(), 0u);
+    EXPECT_EQ(cache.admit_migrated(prefix), 2u) << "tiers " << tiers;
+    EXPECT_EQ(cache.admit_migrated(prefix), 0u) << "tiers " << tiers;
+    EXPECT_EQ(cache.stats().inserted_blocks, 2u) << "tiers " << tiers;
+    EXPECT_EQ(cache.stats().evicted_blocks, 0u) << "tiers " << tiers;
+    EXPECT_EQ(cache.stats().demoted_blocks, 0u) << "tiers " << tiers;
+    EXPECT_EQ(cache.pinned_blocks(), 0u) << "tiers " << tiers;
+    EXPECT_EQ(cache.check_invariants(), "") << "tiers " << tiers;
+  }
+}
+
 }  // namespace
 }  // namespace llmq::cache

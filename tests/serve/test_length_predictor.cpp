@@ -6,7 +6,7 @@
 //     are non-decreasing in mispredict_penalty (the knob pads, never
 //     flips);
 //   * per-tenant isolation and the >= 1 token floor;
-//   * FIFO fallback — spjf knobs with a disabled predictor are bit-exact
+//   * FIFO fallback — the spjf knob with a disabled predictor is bit-exact
 //     with spjf off (predicted_output_tokens == 0 means "no prediction");
 //   * no starvation — under continuous short-predicted pressure with SPJF
 //     admission, priority aging still promotes long-predicted requests:
@@ -154,10 +154,10 @@ TEST(LengthPredictorServing, DisabledPredictorMakesSpjfExactFifo) {
 
   OnlineConfig plain = overload_config();
   OnlineConfig spjf_off_predictor = overload_config();
-  spjf_off_predictor.scheduler.spjf = true;
   spjf_off_predictor.engine.spjf = true;
   // predictor.enabled stays false: every request carries
-  // predicted_output_tokens == 0 and both spjf paths must keep FIFO order.
+  // predicted_output_tokens == 0, and scheduler dispatch and engine
+  // admission must both keep FIFO order.
   const auto a = run_online(t, fds, arrivals, plain);
   const auto b = run_online(t, fds, arrivals, spjf_off_predictor);
   expect_bit_identical(a, b);
@@ -171,7 +171,6 @@ TEST(LengthPredictorServing, SpjfReordersButConservesCompletions) {
   OnlineConfig fifo = overload_config();
   OnlineConfig spjf = overload_config();
   spjf.predictor.enabled = true;
-  spjf.scheduler.spjf = true;
   spjf.engine.spjf = true;
 
   const auto a = run_online(t, fds, arrivals, fifo);
@@ -211,7 +210,6 @@ TEST(LengthPredictorServing, AgingPromotesLongPredictedUnderSpjfPressure) {
 
   OnlineConfig starved = overload_config();
   starved.predictor.enabled = true;
-  starved.scheduler.spjf = true;
   starved.engine.spjf = true;
 
   OnlineConfig aged = starved;
